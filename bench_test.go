@@ -79,12 +79,7 @@ func (f *fixture) src(i int) int32 { return f.sources[i%len(f.sources)] }
 
 func (f *fixture) engine(b *testing.B, mode core.SweepMode, workers int) *core.Engine {
 	b.Helper()
-	return f.engineOpts(b, core.Options{Mode: mode, Workers: workers})
-}
-
-func (f *fixture) engineOpts(b *testing.B, opt core.Options) *core.Engine {
-	b.Helper()
-	e, err := core.NewEngine(f.h, opt)
+	e, err := core.NewEngine(f.h, core.Options{Mode: mode, Workers: workers})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -92,8 +87,8 @@ func (f *fixture) engineOpts(b *testing.B, opt core.Options) *core.Engine {
 }
 
 // reportSweepGBps attaches the modeled achieved bandwidth of the sweep:
-// the engine's bytes-touched model for its active layout (packed stream
-// or legacy CSR+mark, k-lane aware) divided by wall time. The wall time
+// the engine's bytes-touched model (packed stream plus k-lane label
+// traffic) divided by wall time. The wall time
 // includes the upward CH search, so the figure is conservative.
 func reportSweepGBps(b *testing.B, e *core.Engine, k int) {
 	b.ReportMetric(bandwidth.GBps(e.SweepBytes(k)*int64(b.N), b.Elapsed()), "modeled-GB/s")
@@ -165,20 +160,6 @@ func BenchmarkTable1_PHASTReordered(b *testing.B) {
 	reportSweepGBps(b, e, 1)
 }
 
-// BenchmarkTable1_PHASTReorderedLegacy is the A/B twin of
-// BenchmarkTable1_PHASTReordered on the pre-packed CSR+mark kernels
-// (Options.PackedSweep = PackedOff); cmd/benchsmoke compares the pair
-// and fails CI if the packed stream is slower.
-func BenchmarkTable1_PHASTReorderedLegacy(b *testing.B) {
-	f := getFixture(b)
-	e := f.engineOpts(b, core.Options{Mode: core.SweepReordered, Workers: 1, PackedSweep: core.PackedOff})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Tree(f.src(i))
-	}
-	reportSweepGBps(b, e, 1)
-}
-
 func BenchmarkTable1_PHASTReorderedParallel(b *testing.B) {
 	f := getFixture(b)
 	e := f.engine(b, core.SweepReordered, 0)
@@ -192,12 +173,8 @@ func BenchmarkTable1_PHASTReorderedParallel(b *testing.B) {
 // ---- Table II: multiple trees per sweep -------------------------------
 
 func benchMultiTree(b *testing.B, k int, lanes bool) {
-	benchMultiTreePacked(b, k, lanes, core.PackedDefault)
-}
-
-func benchMultiTreePacked(b *testing.B, k int, lanes bool, packed core.PackedSetting) {
 	f := getFixture(b)
-	e := f.engineOpts(b, core.Options{Mode: core.SweepReordered, Workers: 1, PackedSweep: packed})
+	e := f.engine(b, core.SweepReordered, 1)
 	batch := make([]int32, k)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -217,11 +194,6 @@ func BenchmarkTable2_MultiTree_k16(b *testing.B)       { benchMultiTree(b, 16, f
 func BenchmarkTable2_MultiTree_k4_Lanes(b *testing.B)  { benchMultiTree(b, 4, true) }
 func BenchmarkTable2_MultiTree_k8_Lanes(b *testing.B)  { benchMultiTree(b, 8, true) }
 func BenchmarkTable2_MultiTree_k16_Lanes(b *testing.B) { benchMultiTree(b, 16, true) }
-
-// Legacy A/B twin for the multi-tree sweep (see PHASTReorderedLegacy).
-func BenchmarkTable2_MultiTree_k16_Legacy(b *testing.B) {
-	benchMultiTreePacked(b, 16, false, core.PackedOff)
-}
 
 // ---- Table III: GPHAST on the simulated GTX 580 -----------------------
 

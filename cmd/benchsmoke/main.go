@@ -1,22 +1,19 @@
-// Command benchsmoke is the CI benchmark smoke check, with two gated
+// Command benchsmoke is the CI benchmark smoke check, with four gated
 // metrics:
 //
-//   - sweep: times the packed single-stream sweep kernels against their
-//     legacy CSR+mark twins on the europe-m fixture (same DFS layout and
-//     source stream as the root bench_test.go), writes BENCH_3.json, and
-//     exits non-zero if packed is slower than legacy beyond tolerance.
 //   - chbuild: times batch-parallel CH preprocessing at Workers 1 and
-//     NumCPU on the same fixture graph, writes BENCH_4.json, and exits
-//     non-zero if the parallel build is slower than the sequential one
-//     (on a multi-core host) or the shortcut count drifts more than 5%.
-//   - sched: times the persistent dependency-bounded chunk scheduler
-//     against the retained per-level fork-join oracle (single-tree and
-//     k=16 multi-tree), writes BENCH_5.json, and exits non-zero if the
-//     pooled scheduler is slower than fork-join beyond the sched
-//     tolerance. On a multi-core host it also records the pooled
-//     scheduler's parallel speedup over one worker; that half
-//     auto-skips on single-CPU hosts, where both configurations
-//     degenerate to one goroutine.
+//     NumCPU on the europe-m fixture graph (DFS layout), writes
+//     BENCH_4.json, and exits non-zero if the parallel build is slower
+//     than the sequential one (on a multi-core host) or the shortcut
+//     count drifts more than 5%.
+//   - sched: times the persistent dependency-bounded chunk scheduler at
+//     max(2, NumCPU) workers against one worker (the sequential sweep
+//     over the same chunk kernels), single-tree and k=16 multi-tree,
+//     writes BENCH_5.json, and exits non-zero if the pooled sweep is
+//     slower than one worker beyond the sched tolerance. On a
+//     single-CPU host the two pooled workers timeslice one core, so the
+//     ratio measures pure scheduling overhead; on a multi-core host it
+//     is the parallel speedup's inverse.
 //   - customize: times metric customization (triangle relaxation plus
 //     mounting the customized hierarchy as a pool-sharing engine)
 //     against a full from-scratch customizable build plus engine, on
@@ -31,15 +28,6 @@
 //     which is exactly the cost customization exists to avoid; the
 //     measured ratio is scale-robust in customization's favor (both
 //     sides grow with the same triangle count).
-//   - stream: times the compressed (delta+varint, narrow-weight) sweep
-//     stream against the uncompressed packed stream on the europe-m
-//     fixture, writes BENCH_7.json, and exits non-zero if the
-//     compressed stream fails to shrink below the bytes tolerance
-//     (default 0.75x packed), the compressed single-tree sweep runs
-//     slower than the stream time tolerance (default 1.10x packed), or
-//     the k=16 multi-tree sweep exceeds its multi tolerance (default
-//     1.08x packed — the decode-once lane-major kernels hold the
-//     compressed multi sweep within a few percent of packed).
 //   - snapshot: preprocesses the europe-m fixture once, saves the
 //     engine snapshot, and times the mmap and heap restores against
 //     the rebuild, writing BENCH_8.json; exits non-zero if the mmap
@@ -50,12 +38,10 @@
 //
 // Usage:
 //
-//	benchsmoke                       run all gates, write BENCH_3..8.json
-//	benchsmoke -mode sweep -out report.json -tolerance 1.10
+//	benchsmoke                       run all gates, write BENCH_4..8.json
 //	benchsmoke -mode chbuild -chbuild-out BENCH_4.json
 //	benchsmoke -mode sched -sched-out BENCH_5.json -sched-tolerance 1.10
 //	benchsmoke -mode customize -customize-out BENCH_6.json
-//	benchsmoke -mode stream -stream-out BENCH_7.json -stream-tolerance 1.10
 //	benchsmoke -mode snapshot -snapshot-out BENCH_8.json -snapshot-speedup 50
 package main
 
@@ -80,29 +66,6 @@ import (
 	"phast/internal/roadnet"
 )
 
-// Result is one measured benchmark cell.
-type Result struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	NsPerTree   float64 `json:"ns_per_tree"`
-	ModeledGBps float64 `json:"modeled_gbps"`
-}
-
-// Report is the BENCH_3.json schema.
-type Report struct {
-	GoVersion string `json:"go_version"`
-	GOARCH    string `json:"goarch"`
-	Instance  string `json:"instance"`
-	N         int    `json:"n"`
-	M         int    `json:"m"`
-	// SpeedupTree is legacy ns/tree divided by packed ns/tree for the
-	// single-tree sweep (>1 means the packed stream wins); SpeedupMulti
-	// is the same ratio for the k=16 multi-tree sweep.
-	SpeedupTree  float64  `json:"speedup_tree"`
-	SpeedupMulti float64  `json:"speedup_multi_k16"`
-	Results      []Result `json:"results"`
-}
-
 func fixtureGraph(preset roadnet.Preset) (*graph.Graph, error) {
 	net, err := roadnet.GeneratePreset(preset, roadnet.TravelTime)
 	if err != nil {
@@ -126,123 +89,12 @@ func buildFixture(preset roadnet.Preset) (*graph.Graph, *ch.Hierarchy, []int32, 
 	return g, h, sources, nil
 }
 
-func engine(h *ch.Hierarchy, packed core.PackedSetting) (*core.Engine, error) {
-	return core.NewEngine(h, core.Options{Mode: core.SweepReordered, Workers: 1, PackedSweep: packed})
-}
-
 // rounds is how many interleaved A/B measurements each cell gets; the
 // per-cell minimum is reported. Each round constructs FRESH engines
 // (alternating which variant allocates first) so allocation placement,
 // CPU frequency ramp-up, and run order all vary across rounds instead
 // of biasing every measurement the same way.
 const rounds = 3
-
-// benchTree times single-tree sweeps once and returns ns/op plus the
-// modeled bandwidth at that speed.
-func benchTree(e *core.Engine, sources []int32) (float64, float64) {
-	r := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e.Tree(sources[i%len(sources)])
-		}
-	})
-	return float64(r.NsPerOp()), bandwidth.GBps(e.SweepBytes(1)*int64(r.N), r.T)
-}
-
-// benchMulti times k-tree sweeps once (one op grows k trees).
-func benchMulti(e *core.Engine, sources []int32, k int) (float64, float64) {
-	batch := make([]int32, k)
-	r := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := range batch {
-				batch[j] = sources[(i*k+j)%len(sources)]
-			}
-			e.MultiTree(batch, false)
-		}
-	})
-	return float64(r.NsPerOp()), bandwidth.GBps(e.SweepBytes(k)*int64(r.N), r.T)
-}
-
-// measure runs `rounds` fresh-engine A/B rounds of fn and returns each
-// variant's best cell.
-func measure(h *ch.Hierarchy, name string, k int, warm []int32,
-	fn func(e *core.Engine) (float64, float64)) (p, l Result, err error) {
-	p = Result{Name: name + "_packed", NsPerOp: math.Inf(1)}
-	l = Result{Name: name + "_legacy", NsPerOp: math.Inf(1)}
-	for r := 0; r < rounds; r++ {
-		settings := []core.PackedSetting{core.PackedOn, core.PackedOff}
-		if r%2 == 1 { // alternate construction and run order
-			settings[0], settings[1] = settings[1], settings[0]
-		}
-		for _, setting := range settings {
-			e, err := engine(h, setting)
-			if err != nil {
-				return p, l, err
-			}
-			e.Tree(warm[0]) // pay first-touch faults outside the timer
-			ns, gbps := fn(e)
-			res := &p
-			if setting == core.PackedOff {
-				res = &l
-			}
-			if ns < res.NsPerOp {
-				res.NsPerOp = ns
-				res.NsPerTree = ns / float64(k)
-				res.ModeledGBps = gbps
-			}
-		}
-	}
-	return p, l, nil
-}
-
-func runSweep(out, preset string, tolerance float64) error {
-	g, h, sources, err := buildFixture(roadnet.Preset(preset))
-	if err != nil {
-		return err
-	}
-
-	rep := Report{
-		GoVersion: runtime.Version(),
-		GOARCH:    runtime.GOARCH,
-		Instance:  preset + "/dfs",
-		N:         g.NumVertices(),
-		M:         g.NumArcs(),
-	}
-	pt, lt, err := measure(h, "Table1_PHASTReordered", 1, sources,
-		func(e *core.Engine) (float64, float64) { return benchTree(e, sources) })
-	if err != nil {
-		return err
-	}
-	pm, lm, err := measure(h, "Table2_MultiTree_k16", 16, sources,
-		func(e *core.Engine) (float64, float64) { return benchMulti(e, sources, 16) })
-	if err != nil {
-		return err
-	}
-	rep.Results = []Result{pt, lt, pm, lm}
-	rep.SpeedupTree = lt.NsPerTree / pt.NsPerTree
-	rep.SpeedupMulti = lm.NsPerTree / pm.NsPerTree
-
-	buf, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	for _, r := range rep.Results {
-		fmt.Printf("%-32s %12.0f ns/op %12.0f ns/tree %8.2f modeled GB/s\n",
-			r.Name, r.NsPerOp, r.NsPerTree, r.ModeledGBps)
-	}
-	fmt.Printf("packed speedup: %.3fx single-tree, %.3fx multi k=16 (gate: ratio ≤ %.2f)\n",
-		rep.SpeedupTree, rep.SpeedupMulti, tolerance)
-
-	if ratio := pt.NsPerTree / lt.NsPerTree; ratio > tolerance {
-		return fmt.Errorf("packed single-tree sweep is %.3fx legacy time (tolerance %.2f)", ratio, tolerance)
-	}
-	if ratio := pm.NsPerTree / lm.NsPerTree; ratio > tolerance {
-		return fmt.Errorf("packed multi-tree sweep is %.3fx legacy time (tolerance %.2f)", ratio, tolerance)
-	}
-	return nil
-}
 
 // CHBuildResult is one measured preprocessing configuration.
 type CHBuildResult struct {
@@ -371,24 +223,20 @@ type SchedReport struct {
 	Instance  string `json:"instance"`
 	N         int    `json:"n"`
 	M         int    `json:"m"`
-	// Workers is the worker count of the pooled-vs-fork-join comparison:
-	// max(2, NumCPU), so the scheduling machinery engages even on a
-	// single-CPU host (two goroutines timeslicing one core).
+	// Workers is the pooled side's worker count: max(2, NumCPU), so the
+	// scheduling machinery engages even on a single-CPU host (two
+	// goroutines timeslicing one core).
 	Workers int `json:"workers"`
-	// RatioTree and RatioMulti are pooled time over fork-join time (<1
-	// means the persistent scheduler wins); the gate fails when either
-	// exceeds the sched tolerance.
-	RatioTree  float64 `json:"ratio_pooled_vs_forkjoin_tree"`
-	RatioMulti float64 `json:"ratio_pooled_vs_forkjoin_multi_k16"`
-	// SpeedupParallel is one-worker time over pooled NumCPU-worker time
-	// for the single-tree sweep (>1 means parallelism pays); 0 when the
-	// half was skipped on a single-CPU host.
-	SpeedupParallel float64       `json:"speedup_parallel_tree"`
-	Results         []SchedResult `json:"results"`
+	// RatioTree and RatioMulti are pooled time over one-worker time (<1
+	// means the pooled sweep wins); the gate fails when either exceeds
+	// the sched tolerance.
+	RatioTree  float64       `json:"ratio_pooled_vs_1worker_tree"`
+	RatioMulti float64       `json:"ratio_pooled_vs_1worker_multi_k16"`
+	Results    []SchedResult `json:"results"`
 }
 
-func schedEngine(h *ch.Hierarchy, workers int, forkJoin bool) (*core.Engine, error) {
-	return core.NewEngine(h, core.Options{Mode: core.SweepReordered, Workers: workers, ForkJoinSweep: forkJoin})
+func schedEngine(h *ch.Hierarchy, workers int) (*core.Engine, error) {
+	return core.NewEngine(h, core.Options{Mode: core.SweepReordered, Workers: workers})
 }
 
 // benchTreeParallel times parallel single-tree sweeps.
@@ -416,28 +264,24 @@ func benchMultiParallel(e *core.Engine, sources []int32, k int) (float64, float6
 }
 
 // measureSched runs `rounds` interleaved fresh-engine A/B rounds of fn
-// over the pooled scheduler and the fork-join oracle at the same worker
-// count, returning each side's best cell.
+// over the pooled scheduler at `workers` and over one worker, returning
+// each side's best cell.
 func measureSched(h *ch.Hierarchy, name string, workers, k int, warm []int32,
-	fn func(e *core.Engine) (float64, float64)) (pooled, fj SchedResult, err error) {
+	fn func(e *core.Engine) (float64, float64)) (pooled, one SchedResult, err error) {
 	pooled = SchedResult{Name: name + "_pooled", Workers: workers, NsPerOp: math.Inf(1)}
-	fj = SchedResult{Name: name + "_forkjoin", Workers: workers, NsPerOp: math.Inf(1)}
+	one = SchedResult{Name: name + "_1worker", Workers: 1, NsPerOp: math.Inf(1)}
 	for r := 0; r < rounds; r++ {
-		variants := []bool{false, true} // forkJoin flag
-		if r%2 == 1 {                   // alternate construction and run order
-			variants[0], variants[1] = variants[1], variants[0]
+		sides := []*SchedResult{&pooled, &one}
+		if r%2 == 1 { // alternate construction and run order
+			sides[0], sides[1] = sides[1], sides[0]
 		}
-		for _, forkJoin := range variants {
-			e, err := schedEngine(h, workers, forkJoin)
+		for _, res := range sides {
+			e, err := schedEngine(h, res.Workers)
 			if err != nil {
-				return pooled, fj, err
+				return pooled, one, err
 			}
 			e.TreeParallel(warm[0]) // pay first-touch faults outside the timer
 			ns, gbps := fn(e)
-			res := &pooled
-			if forkJoin {
-				res = &fj
-			}
 			if ns < res.NsPerOp {
 				res.NsPerOp = ns
 				res.NsPerTree = ns / float64(k)
@@ -445,7 +289,7 @@ func measureSched(h *ch.Hierarchy, name string, workers, k int, warm []int32,
 			}
 		}
 	}
-	return pooled, fj, nil
+	return pooled, one, nil
 }
 
 func runSched(out, preset string, tolerance float64) error {
@@ -467,34 +311,19 @@ func runSched(out, preset string, tolerance float64) error {
 		Workers:   workers,
 	}
 
-	pt, ft, err := measureSched(h, "Sched_Tree", workers, 1, sources,
+	pt, ot, err := measureSched(h, "Sched_Tree", workers, 1, sources,
 		func(e *core.Engine) (float64, float64) { return benchTreeParallel(e, sources) })
 	if err != nil {
 		return err
 	}
-	pm, fm, err := measureSched(h, "Sched_MultiTree_k16", workers, 16, sources,
+	pm, om, err := measureSched(h, "Sched_MultiTree_k16", workers, 16, sources,
 		func(e *core.Engine) (float64, float64) { return benchMultiParallel(e, sources, 16) })
 	if err != nil {
 		return err
 	}
-	rep.Results = []SchedResult{pt, ft, pm, fm}
-	rep.RatioTree = pt.NsPerTree / ft.NsPerTree
-	rep.RatioMulti = pm.NsPerTree / fm.NsPerTree
-
-	// Speedup half: pooled at NumCPU workers against a single worker
-	// (the sequential kernels). Meaningless when there is one CPU.
-	if runtime.NumCPU() > 1 {
-		one, err := schedEngine(h, 1, false)
-		if err != nil {
-			return err
-		}
-		one.TreeParallel(sources[0])
-		seqNs, seqGBps := benchTreeParallel(one, sources)
-		seq := SchedResult{Name: "Sched_Tree_1worker", Workers: 1,
-			NsPerOp: seqNs, NsPerTree: seqNs, ModeledGBps: seqGBps}
-		rep.Results = append(rep.Results, seq)
-		rep.SpeedupParallel = seq.NsPerTree / pt.NsPerTree
-	}
+	rep.Results = []SchedResult{pt, ot, pm, om}
+	rep.RatioTree = pt.NsPerTree / ot.NsPerTree
+	rep.RatioMulti = pm.NsPerTree / om.NsPerTree
 
 	buf, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
@@ -507,19 +336,14 @@ func runSched(out, preset string, tolerance float64) error {
 		fmt.Printf("%-28s w=%-3d %12.0f ns/op %12.0f ns/tree %8.2f modeled GB/s\n",
 			r.Name, r.Workers, r.NsPerOp, r.NsPerTree, r.ModeledGBps)
 	}
-	fmt.Printf("sched pooled/forkjoin: %.3fx single-tree, %.3fx multi k=16 (gate: ratio ≤ %.2f)\n",
-		rep.RatioTree, rep.RatioMulti, tolerance)
-	if rep.SpeedupParallel > 0 {
-		fmt.Printf("sched parallel speedup: %.3fx at %d workers over 1\n", rep.SpeedupParallel, workers)
-	} else {
-		fmt.Println("sched: single-CPU host, parallel speedup half skipped")
-	}
+	fmt.Printf("sched pooled(%d)/1 worker: %.3fx single-tree, %.3fx multi k=16 (gate: ratio ≤ %.2f)\n",
+		workers, rep.RatioTree, rep.RatioMulti, tolerance)
 
 	if rep.RatioTree > tolerance {
-		return fmt.Errorf("pooled single-tree sweep is %.3fx fork-join time (tolerance %.2f)", rep.RatioTree, tolerance)
+		return fmt.Errorf("pooled single-tree sweep is %.3fx one-worker time (tolerance %.2f)", rep.RatioTree, tolerance)
 	}
 	if rep.RatioMulti > tolerance {
-		return fmt.Errorf("pooled multi-tree sweep is %.3fx fork-join time (tolerance %.2f)", rep.RatioMulti, tolerance)
+		return fmt.Errorf("pooled multi-tree sweep is %.3fx one-worker time (tolerance %.2f)", rep.RatioMulti, tolerance)
 	}
 	return nil
 }
@@ -689,139 +513,6 @@ func runCustomize(out, preset string, maxRatio float64) error {
 
 	if rep.RatioCustomizeVsBuild > maxRatio {
 		return fmt.Errorf("customization is %.3fx a full rebuild (tolerance %.2f)", rep.RatioCustomizeVsBuild, maxRatio)
-	}
-	return nil
-}
-
-// StreamResult is one measured stream-layout cell.
-type StreamResult struct {
-	Name         string  `json:"name"`
-	NsPerOp      float64 `json:"ns_per_op"`
-	NsPerTree    float64 `json:"ns_per_tree"`
-	ModeledGBps  float64 `json:"modeled_gbps"`
-	StreamBytes  int64   `json:"stream_bytes"`
-	BytesPerVert float64 `json:"bytes_per_vertex"`
-	StreamRatio  float64 `json:"stream_ratio"` // vs the uncompressed packed stream
-}
-
-// StreamReport is the BENCH_7.json schema: the compressed-stream gate.
-type StreamReport struct {
-	GoVersion string `json:"go_version"`
-	GOARCH    string `json:"goarch"`
-	Instance  string `json:"instance"`
-	N         int    `json:"n"`
-	M         int    `json:"m"`
-	// BytesRatio is compressed stream bytes over packed stream bytes —
-	// the space half of the gate (must stay ≤ the bytes tolerance).
-	BytesRatio float64 `json:"bytes_ratio"`
-	// RatioTree/RatioMulti are compressed ns/tree over packed ns/tree —
-	// the time half of the gate. The single tree must stay ≤ the stream
-	// tolerance; the k=16 multi ratio gets its own slightly looser gate
-	// (default 1.08) because at k=16 the k·n label streams dominate and
-	// the graph stream is a sliver, so the ratio is noisier. The
-	// decode-once lane-major kernels hold the compressed multi sweep
-	// within a few percent of packed, so a breach past 8% means the
-	// kernel family regressed, not the noise floor.
-	RatioTree  float64 `json:"ratio_tree"`
-	RatioMulti float64 `json:"ratio_multi_k16"`
-	// ShapeHistogram counts compressed blocks per header shape
-	// ("d8w16" = 1-byte deltas, 2-byte weights). The decode-once
-	// kernels specialize the four narrow shapes with constant shifts;
-	// read a ratio regression against this mix — more generic-shape
-	// blocks means slower decode at the same byte count.
-	ShapeHistogram map[string]int `json:"shape_histogram"`
-	Results        []StreamResult `json:"results"`
-}
-
-// runStream gates the compressed sweep layout against its packed twin:
-// the compressed stream must be substantially smaller (bytes ratio) and
-// the single-tree sweep over it must not be materially slower (time
-// ratio) — decoding varints must be cheaper than the bandwidth saved,
-// or at worst nearly free.
-func runStream(out, preset string, timeTolerance, bytesTolerance, multiTolerance float64) error {
-	g, h, sources, err := buildFixture(roadnet.Preset(preset))
-	if err != nil {
-		return err
-	}
-	mk := func(compressed bool) (*core.Engine, error) {
-		return core.NewEngine(h, core.Options{Mode: core.SweepReordered, Workers: 1, CompressedSweep: compressed})
-	}
-	z := StreamResult{Name: "Stream_compressed_tree", NsPerOp: math.Inf(1)}
-	p := StreamResult{Name: "Stream_packed_tree", NsPerOp: math.Inf(1)}
-	zm := StreamResult{Name: "Stream_compressed_multi_k16", NsPerOp: math.Inf(1)}
-	pm := StreamResult{Name: "Stream_packed_multi_k16", NsPerOp: math.Inf(1)}
-	for r := 0; r < rounds; r++ {
-		variants := []bool{true, false}
-		if r%2 == 1 { // alternate construction and run order
-			variants[0], variants[1] = variants[1], variants[0]
-		}
-		for _, compressed := range variants {
-			e, err := mk(compressed)
-			if err != nil {
-				return err
-			}
-			e.Tree(sources[0]) // pay first-touch faults outside the timer
-			ns, gbps := benchTree(e, sources)
-			nsm, gbpsm := benchMulti(e, sources, 16)
-			tree, multi := &p, &pm
-			if compressed {
-				tree, multi = &z, &zm
-			}
-			if ns < tree.NsPerOp {
-				tree.NsPerOp, tree.NsPerTree, tree.ModeledGBps = ns, ns, gbps
-				tree.StreamBytes = e.StreamBytes()
-				tree.BytesPerVert = float64(e.StreamBytes()) / float64(g.NumVertices())
-				tree.StreamRatio = e.CompressionRatio()
-			}
-			if nsm < multi.NsPerOp {
-				multi.NsPerOp, multi.NsPerTree, multi.ModeledGBps = nsm, nsm/16, gbpsm
-				multi.StreamBytes = e.StreamBytes()
-				multi.BytesPerVert = float64(e.StreamBytes()) / float64(g.NumVertices())
-				multi.StreamRatio = e.CompressionRatio()
-			}
-		}
-	}
-
-	// One more compressed engine purely for the shape histogram — the
-	// timed engines above were discarded as the rounds alternated.
-	ze, err := mk(true)
-	if err != nil {
-		return err
-	}
-	rep := StreamReport{
-		GoVersion:      runtime.Version(),
-		GOARCH:         runtime.GOARCH,
-		Instance:       preset + "/dfs",
-		N:              g.NumVertices(),
-		M:              g.NumArcs(),
-		BytesRatio:     float64(z.StreamBytes) / float64(p.StreamBytes),
-		RatioTree:      z.NsPerTree / p.NsPerTree,
-		RatioMulti:     zm.NsPerTree / pm.NsPerTree,
-		ShapeHistogram: ze.StreamShapeHistogram(),
-		Results:        []StreamResult{z, p, zm, pm},
-	}
-	buf, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	for _, r := range rep.Results {
-		fmt.Printf("%-32s %12.0f ns/op %12.0f ns/tree %8.2f modeled GB/s %8.1f B/vertex\n",
-			r.Name, r.NsPerOp, r.NsPerTree, r.ModeledGBps, r.BytesPerVert)
-	}
-	fmt.Printf("stream bytes ratio: %.3f (gate: ≤ %.2f); time ratio: %.3fx single-tree (gate: ≤ %.2f), %.3fx multi k=16 (gate: ≤ %.2f)\n",
-		rep.BytesRatio, bytesTolerance, rep.RatioTree, timeTolerance, rep.RatioMulti, multiTolerance)
-
-	if rep.BytesRatio > bytesTolerance {
-		return fmt.Errorf("compressed stream is %.3fx packed bytes (tolerance %.2f)", rep.BytesRatio, bytesTolerance)
-	}
-	if rep.RatioTree > timeTolerance {
-		return fmt.Errorf("compressed single-tree sweep is %.3fx packed time (tolerance %.2f)", rep.RatioTree, timeTolerance)
-	}
-	if rep.RatioMulti > multiTolerance {
-		return fmt.Errorf("compressed k=16 multi-tree sweep is %.3fx packed time (tolerance %.2f)", rep.RatioMulti, multiTolerance)
 	}
 	return nil
 }
@@ -1017,22 +708,20 @@ func runSnapshot(out, preset string, minSpeedup, shardTolerance float64, shards 
 
 func main() {
 	var (
-		mode = flag.String("mode", "all", "which gates to run: sweep, chbuild, or all")
-		out  = flag.String("out", "BENCH_3.json", "sweep report path")
+		mode = flag.String("mode", "all", "which gates to run: chbuild, sched, customize, snapshot, or all")
 		// 1.15 rather than a tight 1.02: shared CI hosts show ±10%
-		// run-to-run jitter even with interleaved fresh-engine rounds,
-		// and the gates exist to catch real regressions (packed suddenly
-		// 2x slower, parallel build losing to sequential), not to flake
-		// on scheduler noise. The recorded ratios in the reports carry
-		// the actual measurements.
-		tolerance  = flag.Float64("tolerance", 1.15, "max allowed packed/legacy (or parallel/sequential) time ratio before failing")
+		// run-to-run jitter even with interleaved rounds, and the gate
+		// exists to catch real regressions (the parallel build losing to
+		// the sequential one), not to flake on scheduler noise. The
+		// recorded ratios in the report carry the actual measurements.
+		tolerance  = flag.Float64("tolerance", 1.15, "max allowed parallel/sequential CH build time ratio before failing")
 		chbuildOut = flag.String("chbuild-out", "BENCH_4.json", "chbuild report path")
 		schedOut   = flag.String("sched-out", "BENCH_5.json", "sched report path")
-		// The sched gate compares two parallel drivers over identical
-		// kernels, so run-to-run jitter is smaller than the packed/legacy
-		// comparison's; 1.10 keeps the pooled scheduler honestly at least
-		// as fast as the barrier code it replaced.
-		schedTolerance = flag.Float64("sched-tolerance", 1.10, "max allowed pooled/fork-join time ratio before failing")
+		// 1.10: the pooled sweep runs the sequential sweep's chunk
+		// kernels, so beyond 10% over one worker its scheduling overhead
+		// (chunk claims, frontier waits, wakeups) ate the parallelism —
+		// or, on a single-CPU host, the overhead itself regressed.
+		schedTolerance = flag.Float64("sched-tolerance", 1.10, "max allowed pooled/one-worker time ratio before failing")
 		preset         = flag.String("preset", "europe-m", "roadnet instance preset")
 		customizeOut   = flag.String("customize-out", "BENCH_6.json", "customize report path")
 		// 0.20: customization must cost at most a fifth of the full
@@ -1043,21 +732,7 @@ func main() {
 		// europe-xs, not -preset: the baseline side (all-pairs rebuild)
 		// is minutes-long at europe-m — see the package comment.
 		customizePreset = flag.String("customize-preset", "europe-xs", "roadnet preset for the customize gate")
-		streamOut       = flag.String("stream-out", "BENCH_7.json", "stream report path")
-		// 1.10: the compressed kernels decode varints inline, so some
-		// overhead is tolerable — but more than 10% over packed means the
-		// decode cost ate the bandwidth win and the layout regressed.
-		streamTolerance = flag.Float64("stream-tolerance", 1.10, "max allowed compressed/packed single-tree time ratio before failing")
-		// 0.75: the compressed stream must actually compress — delta+varint
-		// heads and narrow weights run well under this on road networks.
-		streamBytesRatio = flag.Float64("stream-bytes-ratio", 0.75, "max allowed compressed/packed stream byte ratio before failing")
-		// 1.08: at k=16 the graph stream is a sliver of the traffic, so
-		// the ratio is noisier than the single-tree one — but the
-		// decode-once lane-major kernels measure ~1.05x on europe-m, so
-		// 8% covers the jitter while still catching any regression back
-		// toward the old vertex-major kernels' ~1.15x.
-		streamMultiTolerance = flag.Float64("stream-multi-tolerance", 1.08, "max allowed compressed/packed k=16 multi-tree time ratio before failing")
-		snapshotOut          = flag.String("snapshot-out", "BENCH_8.json", "snapshot report path")
+		snapshotOut     = flag.String("snapshot-out", "BENCH_8.json", "snapshot report path")
 		// 50: restoring from a snapshot must be a different complexity
 		// class than rebuilding — page mapping plus validation versus a
 		// full CH contraction. Measured speedups run in the hundreds at
@@ -1071,13 +746,9 @@ func main() {
 	)
 	flag.Parse()
 	runs := map[string]func() error{
-		"sweep":     func() error { return runSweep(*out, *preset, *tolerance) },
 		"chbuild":   func() error { return runCHBuild(*chbuildOut, *preset, *tolerance) },
 		"sched":     func() error { return runSched(*schedOut, *preset, *schedTolerance) },
 		"customize": func() error { return runCustomize(*customizeOut, *customizePreset, *customizeTolerance) },
-		"stream": func() error {
-			return runStream(*streamOut, *preset, *streamTolerance, *streamBytesRatio, *streamMultiTolerance)
-		},
 		"snapshot": func() error {
 			return runSnapshot(*snapshotOut, *preset, *snapshotSpeedup, *snapshotShardTolerance, *snapshotShards)
 		},
@@ -1085,11 +756,11 @@ func main() {
 	var selected []func() error
 	switch *mode {
 	case "all":
-		selected = []func() error{runs["sweep"], runs["chbuild"], runs["sched"], runs["customize"], runs["stream"], runs["snapshot"]}
-	case "sweep", "chbuild", "sched", "customize", "stream", "snapshot":
+		selected = []func() error{runs["chbuild"], runs["sched"], runs["customize"], runs["snapshot"]}
+	case "chbuild", "sched", "customize", "snapshot":
 		selected = []func() error{runs[*mode]}
 	default:
-		fmt.Fprintf(os.Stderr, "benchsmoke: unknown -mode %q (sweep, chbuild, sched, customize, stream, snapshot, all)\n", *mode)
+		fmt.Fprintf(os.Stderr, "benchsmoke: unknown -mode %q (chbuild, sched, customize, snapshot, all)\n", *mode)
 		os.Exit(2)
 	}
 	for _, fn := range selected {

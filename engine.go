@@ -22,22 +22,6 @@ type Options struct {
 	// SweepMode overrides the sweep order; the default is the fully
 	// reordered layout of Section IV-A. Exposed for experiments.
 	SweepMode SweepMode
-	// LegacySweep disables the packed single-stream sweep layout and
-	// falls back to the separate first/arclist/mark CSR kernels. The
-	// packed stream is the default; this switch exists for A/B
-	// comparison and as an escape hatch.
-	LegacySweep bool
-	// ForkJoinSweep routes parallel sweeps through the original
-	// per-level fork-join barriers instead of the persistent
-	// dependency-bounded chunk scheduler. Retained as a differential
-	// oracle and A/B baseline.
-	ForkJoinSweep bool
-	// CompressedSweep replaces the packed single-stream layout with its
-	// byte-compressed twin (delta+varint arc heads, width-tagged narrow
-	// weights): the sweep scans fewer bytes for the same relaxations,
-	// which matters exactly as much as the sweep is bandwidth-bound.
-	// Incompatible with LegacySweep.
-	CompressedSweep bool
 	// ParallelGrain pins the scheduler chunk size in sweep positions.
 	// 0 (the default) sizes chunks by a byte budget instead: the stream
 	// bytes each chunk spans stay within ChunkBytes, so a chunk's
@@ -47,38 +31,15 @@ type Options struct {
 	// ParallelGrain is 0; 0 detects the machine's L2 cache and budgets
 	// half of it (see internal/machine; PHAST_CHUNK_BYTES overrides).
 	ChunkBytes int
-	// VertexMajorMulti routes a compressed engine's multi-tree sweeps
-	// through the first-generation vertex-major (k labels per vertex,
-	// contiguous) kernels instead of the lane-major decode-once family
-	// that is now the default. Retained as a differential oracle and
-	// A/B baseline; requires CompressedSweep.
-	VertexMajorMulti bool
 }
 
-func (o *Options) packed() core.PackedSetting {
-	if o.LegacySweep {
-		return core.PackedOff
-	}
-	return core.PackedDefault
-}
-
-func (o *Options) coreOptions() (core.Options, error) {
-	if o.LegacySweep && o.CompressedSweep {
-		return core.Options{}, fmt.Errorf("phast: LegacySweep and CompressedSweep are mutually exclusive (the compressed stream is a packed layout)")
-	}
-	if o.VertexMajorMulti && !o.CompressedSweep {
-		return core.Options{}, fmt.Errorf("phast: VertexMajorMulti selects the compressed multi-kernel oracle and requires CompressedSweep")
-	}
+func (o *Options) coreOptions() core.Options {
 	return core.Options{
-		Mode:             o.SweepMode,
-		Workers:          o.SweepWorkers,
-		PackedSweep:      o.packed(),
-		CompressedSweep:  o.CompressedSweep,
-		ForkJoinSweep:    o.ForkJoinSweep,
-		ParallelGrain:    o.ParallelGrain,
-		ChunkBytes:       o.ChunkBytes,
-		VertexMajorMulti: o.VertexMajorMulti,
-	}, nil
+		Mode:          o.SweepMode,
+		Workers:       o.SweepWorkers,
+		ParallelGrain: o.ParallelGrain,
+		ChunkBytes:    o.ChunkBytes,
+	}
 }
 
 // SweepMode selects the linear-sweep vertex order.
@@ -132,10 +93,7 @@ func Preprocess(g *Graph, opt *Options) (*Engine, error) {
 	if opt == nil {
 		opt = &Options{}
 	}
-	copt, err := opt.coreOptions()
-	if err != nil {
-		return nil, err
-	}
+	copt := opt.coreOptions()
 	var bs BuildStats
 	h := ch.Build(g, ch.Options{Workers: opt.CHWorkers, Stats: &bs})
 	c, err := core.NewEngine(h, copt)
@@ -158,10 +116,7 @@ func PreprocessCustomizable(g *Graph, opt *Options) (*Engine, error) {
 	if opt == nil {
 		opt = &Options{}
 	}
-	copt, err := opt.coreOptions()
-	if err != nil {
-		return nil, err
-	}
+	copt := opt.coreOptions()
 	var bs BuildStats
 	topo, err := ch.BuildCustomizable(g, ch.Options{Workers: opt.CHWorkers, Stats: &bs})
 	if err != nil {
@@ -235,10 +190,7 @@ func LoadEngine(r io.Reader, opt *Options) (*Engine, error) {
 	if opt == nil {
 		opt = &Options{}
 	}
-	copt, err := opt.coreOptions()
-	if err != nil {
-		return nil, err
-	}
+	copt := opt.coreOptions()
 	h, err := ch.ReadHierarchy(r)
 	if err != nil {
 		return nil, err
@@ -309,8 +261,7 @@ func (e *Engine) CheckInvariants() error {
 func (e *Engine) Tree(source int32) { e.core.Tree(source) }
 
 // TreeParallel is Tree with the parallel sweep of Section V, executed by
-// the persistent dependency-bounded chunk scheduler (or the per-level
-// fork-join barriers when Options.ForkJoinSweep is set).
+// the persistent dependency-bounded chunk scheduler.
 func (e *Engine) TreeParallel(source int32) { e.core.TreeParallel(source) }
 
 // TreeWithParents is Tree plus parent pointers; enables PathTo.
@@ -343,17 +294,9 @@ type SchedStats = core.SchedStats
 // engines sharing this preprocessed data.
 func (e *Engine) SchedStats() SchedStats { return e.core.SchedStats() }
 
-// StreamBytes returns the bytes of the graph layout one sweep scans —
-// the compressed stream's byte length under Options.CompressedSweep,
-// the packed stream's words×4 by default, and the CSR footprint under
-// LegacySweep. The numerator of the layout's compression ratio and the
-// graph term of the bandwidth model.
+// StreamBytes returns the bytes of the packed stream one sweep scans —
+// the graph term of the bandwidth model.
 func (e *Engine) StreamBytes() int64 { return e.core.StreamBytes() }
-
-// CompressionRatio returns StreamBytes relative to the uncompressed
-// packed stream (1.0 for uncompressed layouts; < 1 means the sweep
-// scans fewer bytes than the packed baseline).
-func (e *Engine) CompressionRatio() float64 { return e.core.CompressionRatio() }
 
 // Dist returns the distance of v from the last tree's source, or Inf.
 func (e *Engine) Dist(v int32) uint32 { return e.core.Dist(v) }

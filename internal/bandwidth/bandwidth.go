@@ -124,17 +124,9 @@ type SweepTraffic struct {
 	N, M int
 	// K is the number of trees grown per sweep (0 is treated as 1).
 	K int
-	// StreamBytes, when positive, selects a byte-granular stream layout
-	// (graph.PackedZ.ByteLen): the whole graph walk is exactly
-	// StreamBytes bytes — compressed streams are byte-, not word-,
-	// granular. Takes precedence over PackedWords.
-	StreamBytes int64
-	// PackedWords, when positive, selects the fused single-stream layout
+	// PackedWords is the fused single-stream layout's length
 	// (graph.Packed.Words): the whole graph walk is PackedWords uint32s.
 	PackedWords int
-	// Ordered marks the legacy kernels' extra order-array stream (level
-	// or rank order with original IDs). Ignored when PackedWords > 0.
-	Ordered bool
 	// Parents adds the parent-pointer write stream (TreeWithParents).
 	Parents bool
 	// SchedChunks, when positive, adds the persistent scheduler's
@@ -148,10 +140,10 @@ type SweepTraffic struct {
 	// whose relax target lives in memory rather than a register: every
 	// arc re-reads (and conditionally rewrites) the scanned vertex's own
 	// k labels, adding k·4m bytes of label traffic on top of the k tail
-	// reads per arc. The lane-major decode-once kernels accumulate each
-	// lane's minimum in a register and pay exactly one read-modify-write
-	// per (lane, vertex), which the base k·(4m+4n) term already covers —
-	// as do all single-tree kernels, so the flag is inert at K <= 1.
+	// reads per arc. A kernel that accumulates each lane's minimum in a
+	// register pays exactly one read-modify-write per (lane, vertex),
+	// which the base k·(4m+4n) term already covers — as do all
+	// single-tree kernels, so the flag is inert at K <= 1.
 	LabelRereads bool
 }
 
@@ -161,19 +153,7 @@ func (t SweepTraffic) Bytes() int64 {
 	if k < 1 {
 		k = 1
 	}
-	var b int64
-	switch {
-	case t.StreamBytes > 0:
-		b = t.StreamBytes
-	case t.PackedWords > 0:
-		b = int64(t.PackedWords) * 4
-	default:
-		// first (4(n+1)) + AoS arcs (8m) + mark bytes (n).
-		b = int64(t.N+1)*4 + int64(t.M)*8 + int64(t.N)
-		if t.Ordered {
-			b += int64(t.N) * 4
-		}
-	}
+	b := int64(t.PackedWords) * 4
 	b += k * (int64(t.M)*4 + int64(t.N)*4) // tail-label reads + label writes
 	if t.LabelRereads && k > 1 {
 		b += k * int64(t.M) * 4 // AoS relax-target re-read per arc per lane

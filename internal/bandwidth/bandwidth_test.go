@@ -63,17 +63,17 @@ func TestSequentialParallelRuns(t *testing.T) {
 	}
 }
 
-// TestSweepTrafficLabelRereads pins the AoS-vs-lane-major label model:
-// the vertex-major multi kernels pay one extra label read per arc per
-// lane, and the flag is inert for single-tree sweeps.
+// TestSweepTrafficLabelRereads pins the vertex-major label model: the
+// multi kernels pay one extra label read per arc per lane, and the flag
+// is inert for single-tree sweeps.
 func TestSweepTrafficLabelRereads(t *testing.T) {
-	base := SweepTraffic{N: 100, M: 400, K: 8, StreamBytes: 1000}
+	base := SweepTraffic{N: 100, M: 400, K: 8, PackedWords: 250}
 	aos := base
 	aos.LabelRereads = true
 	if got, want := aos.Bytes()-base.Bytes(), int64(8*400*4); got != want {
 		t.Fatalf("k=8 re-read term = %d, want %d", got, want)
 	}
-	single := SweepTraffic{N: 100, M: 400, K: 1, StreamBytes: 1000}
+	single := SweepTraffic{N: 100, M: 400, K: 1, PackedWords: 250}
 	aos1 := single
 	aos1.LabelRereads = true
 	if aos1.Bytes() != single.Bytes() {

@@ -152,8 +152,10 @@ func TestBuildStatsPopulated(t *testing.T) {
 	if bs.MaxBatch <= 1 {
 		t.Fatalf("batching never exceeded one vertex per round: %+v", bs)
 	}
-	if bs.Shortcuts != h.NumShortcuts {
-		t.Fatalf("stats shortcuts %d, hierarchy has %d", bs.Shortcuts, h.NumShortcuts)
+	// The stats count shortcut records before the Up/Down merge; the
+	// hierarchy counts the merged shortcut arcs, so it can only be lower.
+	if h.NumShortcuts == 0 || bs.Shortcuts < h.NumShortcuts {
+		t.Fatalf("stats shortcuts %d, hierarchy has %d merged", bs.Shortcuts, h.NumShortcuts)
 	}
 	if bs.WitnessSearches == 0 {
 		t.Fatal("witness search counter never moved")

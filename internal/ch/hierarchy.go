@@ -43,7 +43,11 @@ type Hierarchy struct {
 	// corresponding graphs: the vertex that was contracted to create the
 	// shortcut, or -1 for an original arc. They drive path unpacking.
 	UpMid, DownMid, DownInMid []int32
-	// NumShortcuts is the number of shortcut arcs in A+ after merging.
+	// NumShortcuts is the number of shortcut arcs in A+ after merging:
+	// the arcs of Up and Down whose mid is a vertex (>= 0). A shortcut
+	// that merged into a parallel arc and lost to it is not counted, so
+	// this is at most BuildStats.Shortcuts, which counts records before
+	// the merge.
 	NumShortcuts int
 	// MaxLevel is max over Level.
 	MaxLevel int32
@@ -100,10 +104,23 @@ func assemble(g *graph.Graph, rank, level []int32, shortcuts []fullArc) *Hierarc
 		G: g, Rank: rank, Level: level,
 		Up: upG, Down: downG, DownIn: downInG,
 		UpMid: upMid, DownMid: downMid, DownInMid: downInMid,
-		NumShortcuts: len(shortcuts),
+		NumShortcuts: countShortcuts(upMid, downMid),
 		MaxLevel:     maxLevel,
 	}
 	return h
+}
+
+// countShortcuts counts the merged arcs that are shortcuts (mid >= 0).
+func countShortcuts(upMid, downMid []int32) int {
+	c := 0
+	for _, mids := range [][]int32{upMid, downMid} {
+		for _, m := range mids {
+			if m >= 0 {
+				c++
+			}
+		}
+	}
+	return c
 }
 
 // buildWithMids builds a CSR graph plus an aligned mid array from arc

@@ -499,7 +499,7 @@ func (t *Topology) Customize(weights []uint32, opt CustomizeOptions) (*Hierarchy
 		Level: h.Level,
 		Up:    up2, Down: down2, DownIn: downIn2,
 		UpMid: upMid, DownMid: downMid, DownInMid: downInMid,
-		NumShortcuts: h.NumShortcuts,
+		NumShortcuts: countShortcuts(upMid, downMid),
 		MaxLevel:     h.MaxLevel,
 		MetricEpoch:  opt.Epoch,
 		MetricName:   opt.Name,

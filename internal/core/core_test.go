@@ -199,7 +199,7 @@ func TestMultiTreeLanesMatchesScalar(t *testing.T) {
 	n := g.NumVertices()
 	e := newEngine(t, g, Options{})
 	scalar := e.Clone()
-	for _, k := range []int{4, 8, 16} {
+	for _, k := range []int{3, 4, 8, 13, 16} {
 		sources := make([]int32, k)
 		for i := range sources {
 			sources[i] = int32(rng.Intn(n))
@@ -217,16 +217,30 @@ func TestMultiTreeLanesMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestMultiTreeLaneValidation pins that the lanes kernels accept any k:
+// the last k%4 lanes take the scalar tail, so every k from 1 to 9 must
+// match the scalar kernel, with no panic at the public boundary.
 func TestMultiTreeLaneValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := gridGraph(rng, 4, 4, 5)
+	n := g.NumVertices()
 	e := newEngine(t, g, Options{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("lanes with k=3 accepted")
+	scalar := e.Clone()
+	for k := 1; k <= 9; k++ {
+		sources := make([]int32, k)
+		for i := range sources {
+			sources[i] = int32(rng.Intn(n))
 		}
-	}()
-	e.MultiTree([]int32{0, 1, 2}, true)
+		e.MultiTree(sources, true)
+		scalar.MultiTree(sources, false)
+		for i := 0; i < k; i++ {
+			for v := int32(0); v < int32(n); v++ {
+				if e.MultiDist(i, v) != scalar.MultiDist(i, v) {
+					t.Fatalf("k=%d lane %d: lanes=%d scalar=%d at v=%d", k, i, e.MultiDist(i, v), scalar.MultiDist(i, v), v)
+				}
+			}
+		}
+	}
 }
 
 func TestMultiTreeRepeatedAndShrinkingK(t *testing.T) {

@@ -13,8 +13,7 @@ import (
 // TestCustomizedEngineDifferential is the engine-level half of the
 // differential customization oracle: a customized hierarchy mounted
 // via NewEngineSharingPool must produce Dijkstra-identical trees under
-// every sweep mode, with and without the packed stream, for single
-// trees and k-lane batches alike. This is what the server relies on
+// every sweep mode, for single trees and k-lane batches alike. This is what the server relies on
 // when it swaps a customized engine in mid-traffic — every execution
 // path must agree on the new metric, not just the CH query.
 func TestCustomizedEngineDifferential(t *testing.T) {
@@ -30,19 +29,9 @@ func TestCustomizedEngineDifferential(t *testing.T) {
 		name string
 		opt  Options
 	}{
-		{"reordered/packed", Options{Mode: SweepReordered, Workers: 2, ParallelGrain: 16}},
-		{"reordered/csr", Options{Mode: SweepReordered, Workers: 2, ParallelGrain: 16, PackedSweep: PackedOff}},
-		{"levelorder/packed", Options{Mode: SweepLevelOrder, Workers: 2, ParallelGrain: 16}},
-		{"levelorder/csr", Options{Mode: SweepLevelOrder, Workers: 2, ParallelGrain: 16, PackedSweep: PackedOff}},
-		{"rankorder/packed", Options{Mode: SweepRankOrder, Workers: 2, ParallelGrain: 16}},
-		{"rankorder/csr", Options{Mode: SweepRankOrder, Workers: 2, ParallelGrain: 16, PackedSweep: PackedOff}},
-		// Compressed-stream twins: Customize rebinds weights via
-		// PackedZ.WithWeights (a full re-encode, since narrow width tags
-		// depend on the weights), and the random metrics above include
-		// graph.Inf arcs, so the narrow-block Inf escapes are exercised.
-		{"reordered/compressed", Options{Mode: SweepReordered, Workers: 2, ParallelGrain: 16, CompressedSweep: true}},
-		{"levelorder/compressed", Options{Mode: SweepLevelOrder, Workers: 2, ParallelGrain: 16, CompressedSweep: true}},
-		{"rankorder/compressed", Options{Mode: SweepRankOrder, Workers: 2, ParallelGrain: 16, CompressedSweep: true}},
+		{"reordered", Options{Mode: SweepReordered, Workers: 2, ParallelGrain: 16}},
+		{"levelorder", Options{Mode: SweepLevelOrder, Workers: 2, ParallelGrain: 16}},
+		{"rankorder", Options{Mode: SweepRankOrder, Workers: 2, ParallelGrain: 16}},
 	}
 
 	for metric := 0; metric < 3; metric++ {
@@ -89,12 +78,12 @@ func TestCustomizedEngineDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: NewEngineSharingPool: %v", cfg.name, err)
 			}
-			for _, k := range []int{1, 4, 16} {
+			for _, k := range []int{1, 3, 16} {
 				sources := make([]int32, k)
 				for i := range sources {
 					sources[i] = int32(rng.Intn(n))
 				}
-				eng.MultiTreeParallel(sources, k%4 == 0)
+				eng.MultiTreeParallel(sources, k > 1)
 				for i, s := range sources {
 					want := wantDist(s)
 					for v := 0; v < n; v++ {

@@ -3,18 +3,25 @@
 // upward CH search plus a source-independent linear sweep over the
 // downward graph, with
 //
-//   - three sweep orders — descending rank (the basic algorithm of
-//     Section III), level order without relabeling, and the fully
-//     reordered layout of Section IV-A where the sweep is a pure linear
-//     scan in increasing vertex ID;
-//   - implicit initialization via visited bits (Section IV-C), so a tree
-//     computation never pays an O(n) clearing pass;
+//   - one sweep stream, graph.Packed: each vertex's incoming downward
+//     arcs fused into a single []uint32 in sweep order, so phase 2 is
+//     one forward pass with no first[]/order[] indirection;
+//   - three sweep orders over that stream — descending rank (the basic
+//     algorithm of Section III), level order without relabeling, and
+//     the fully reordered layout of Section IV-A where the sweep is a
+//     pure linear scan in increasing vertex ID;
+//   - implicit initialization (Section IV-C) without a mark array in
+//     the sweep: the upward search space becomes a sorted list of seed
+//     positions consumed by a merge cursor, so a tree never pays an
+//     O(n) clearing pass;
 //   - multi-tree sweeps that grow k trees at once with the k labels of a
 //     vertex contiguous in memory (Section IV-B), optionally relaxing
 //     them in 4-wide lanes mirroring the paper's SSE code;
-//   - intra-level parallelism (Section V): vertices of one level are
-//     split into blocks processed by multiple goroutines with a barrier
-//     per level;
+//   - one chunk kernel per sweep kind, run over [0,n) for a sequential
+//     sweep and over cache-budget chunks on the persistent
+//     internal/sched pool for a parallel one (Section V): a chunk starts
+//     once the completion frontier passes its precomputed dependency
+//     bound, which relaxes the paper's per-level barrier;
 //   - parent pointers in G+ and their projection to shortest-path trees
 //     of the original graph (Section VII-A).
 package core
@@ -64,28 +71,11 @@ func (m SweepMode) String() string {
 	}
 }
 
-// PackedSetting selects whether the engine sweeps the fused
-// single-stream layout (graph.Packed) or the legacy first/arclist CSR
-// walk. The zero value enables packing: the fused stream is the
-// production kernel, the legacy kernels remain as a differential oracle
-// and A/B baseline.
-type PackedSetting int
-
-const (
-	// PackedDefault is the zero value and means PackedOn.
-	PackedDefault PackedSetting = iota
-	// PackedOn sweeps the fused single-stream layout.
-	PackedOn
-	// PackedOff sweeps the legacy CSR kernels (first + arclist + mark).
-	PackedOff
-)
-
 // DefaultParallelGrain is the historical fixed sweep chunk size (in
-// sweep positions). Chunks are now sized by a cache-derived byte budget
-// by default (Options.ChunkBytes); this constant survives as the
-// fallback level-size threshold below which the fork-join oracle stays
-// sequential, and as the fixed grain tests and oracles pin through
-// Options.ParallelGrain.
+// sweep positions). Chunks are sized by a cache-derived byte budget by
+// default (Options.ChunkBytes); this constant is the fixed grain tests
+// pin through Options.ParallelGrain when they need several chunks on a
+// small fixture.
 const DefaultParallelGrain = 1024
 
 // Options configures engine construction.
@@ -97,24 +87,9 @@ type Options struct {
 	// pool goroutines at construction. 0 selects GOMAXPROCS. Adjustable
 	// later with Engine.SetWorkers.
 	Workers int
-	// PackedSweep selects the fused single-stream sweep layout (default
-	// on) or the legacy CSR kernels (PackedOff), kept as an A/B oracle.
-	PackedSweep PackedSetting
-	// CompressedSweep selects the delta+varint compressed stream
-	// (graph.PackedZ) instead of the uncompressed packed words: the
-	// sweep reads roughly half the bytes at the cost of inline varint
-	// decode. The uncompressed packed kernels remain the differential
-	// oracle, exactly as the legacy CSR kernels did for packing.
-	// Requires the packed layout (an error with PackedOff).
-	CompressedSweep bool
-	// ForkJoinSweep routes parallel sweeps through the original
-	// per-level fork-join barriers instead of the persistent
-	// dependency-bounded scheduler. Kept as a differential oracle and
-	// A/B baseline; production sweeps should leave it off.
-	ForkJoinSweep bool
 	// ParallelGrain, when positive, pins the chunk size in sweep
-	// positions — the historical fixed grain, kept for tests and
-	// oracles that need deterministic chunk boundaries. 0 (the default)
+	// positions — the historical fixed grain, kept for tests that need
+	// deterministic chunk boundaries. 0 (the default)
 	// sizes chunks by the ChunkBytes budget instead; a negative grain
 	// is an error.
 	ParallelGrain int
@@ -124,15 +99,6 @@ type Options struct {
 	// [machine.MinChunkBytes, machine.MaxChunkBytes]); explicit values
 	// are used as given. Ignored when ParallelGrain pins a fixed grain.
 	ChunkBytes int
-	// VertexMajorMulti routes a compressed engine's multi-tree sweeps
-	// through the first-generation vertex-major (AoS, kdist[v*k+j])
-	// kernels instead of the lane-major decode-once family that is now
-	// the default. Kept as the differential oracle and A/B baseline,
-	// exactly as the packed kernels were for the compressed stream. The
-	// vertex-major lanes kernels keep their k%4 contract; the lane-major
-	// ones accept any k. No effect on engines without a compressed
-	// stream — their multi kernels are vertex-major regardless.
-	VertexMajorMulti bool
 }
 
 // shared is the immutable, source-independent state every Engine clone
@@ -148,25 +114,11 @@ type shared struct {
 	toEngine    []int32    // original ID -> engine ID
 	toOrig      []int32    // engine ID -> original ID
 	// packed is the fused single-stream sweep layout of downIn in sweep
-	// order; nil when Options.PackedSweep is PackedOff or the compressed
-	// stream stands in for it.
+	// order — the one stream every sweep kernel scans.
 	packed *graph.Packed
-	// packedz is the delta+varint compressed sweep stream; non-nil
-	// exactly when Options.CompressedSweep selected it (packed is then
-	// nil — an engine carries one stream, not both).
-	packedz *graph.PackedZ
 	// pos maps an engine vertex ID to its sweep position (the inverse of
 	// order); nil when the order is the identity.
 	pos []int32
-	// laneMajor selects the multi-tree label layout: true (compressed
-	// engines by default) lays lane j out contiguously at kdist[j*n+v]
-	// and sweeps with the decode-once kernels of packedz_soa.go; false
-	// (packed/CSR engines, and compressed ones under the
-	// Options.VertexMajorMulti oracle) keeps the k labels of a vertex
-	// contiguous at kdist[v*k+j]. Everything that touches kdist — the
-	// upward lane searches, the sweep kernels, MultiDist,
-	// CopyLaneDistances — keys off this one bit.
-	laneMajor bool
 
 	// Persistent sweep scheduler state (internal/sched), shared by
 	// clones and — since metric customization — by sibling engines over
@@ -180,15 +132,11 @@ type shared struct {
 	// position grain (Options.ParallelGrain) or from the cache byte
 	// budget (Options.ChunkBytes), so chunk sizes may vary.
 	chunkStart []int32
-	// grain is the average chunk size in sweep positions, kept as the
-	// level-size threshold of the fork-join oracle.
-	grain     int32
-	numChunks int32
+	numChunks  int32
 	// chunkDep[c] is the chunk index the completion frontier must pass
 	// before chunk c may start (-1: no external dependency). Derived
-	// from graph.ChunkDepBounds position bounds at construction.
+	// from graph.Packed.ChunkDepBoundsAt position bounds at construction.
 	chunkDep []int32
-	forkJoin bool
 	pool     *sched.Pool
 
 	// Snapshot provenance (parts.go): hold pins the backing mmap alive
@@ -207,12 +155,12 @@ type shared struct {
 type Engine struct {
 	s          *shared
 	dist       []uint32
-	mark       []bool
+	mark       []bool  // upward-search visited bits; buildSeeds clears them
 	parent     []int32 // engine-ID parents in G+; allocated lazily
 	hasParents bool    // last tree recorded parents
 	queue      *chHeap
 	touched    []int32 // engine IDs labeled by the last upward search
-	seedPos    []int32 // packed sweeps: sorted sweep positions of touched
+	seedPos    []int32 // sorted sweep positions of touched
 	src        int32   // engine ID of the last source, -1 initially
 	// multi-tree state (Section IV-B)
 	k     int
@@ -238,10 +186,7 @@ func NewEngine(h *ch.Hierarchy, opt Options) (*Engine, error) {
 	if opt.ChunkBytes < 0 {
 		return nil, fmt.Errorf("core: ChunkBytes %d is negative", opt.ChunkBytes)
 	}
-	if opt.CompressedSweep && opt.PackedSweep == PackedOff {
-		return nil, fmt.Errorf("core: CompressedSweep requires the packed layout (PackedSweep is off)")
-	}
-	s := &shared{mode: opt.Mode, n: n, forkJoin: opt.ForkJoinSweep}
+	s := &shared{mode: opt.Mode, n: n}
 	switch opt.Mode {
 	case SweepReordered:
 		perm := layout.ByLevelDescending(h.Level)
@@ -275,7 +220,8 @@ func NewEngine(h *ch.Hierarchy, opt Options) (*Engine, error) {
 			}
 			s.order = ord
 			// Descending rank is a valid topological order but not grouped
-			// by level; the parallel sweep falls back to sequential here.
+			// by level, so there are no level ranges; the dependency-bounded
+			// scheduler needs none.
 			s.levelRanges = nil
 		}
 	default:
@@ -289,22 +235,11 @@ func NewEngine(h *ch.Hierarchy, opt Options) (*Engine, error) {
 			s.pos[v] = int32(i)
 		}
 	}
-	if opt.PackedSweep != PackedOff {
-		if opt.CompressedSweep {
-			z, err := graph.NewPackedZ(s.downIn, s.order)
-			if err != nil {
-				return nil, fmt.Errorf("core: compressing sweep stream: %w", err)
-			}
-			s.packedz = z
-		} else {
-			p, err := graph.NewPacked(s.downIn, s.order)
-			if err != nil {
-				return nil, fmt.Errorf("core: packing sweep stream: %w", err)
-			}
-			s.packed = p
-		}
+	p, err := graph.NewPacked(s.downIn, s.order)
+	if err != nil {
+		return nil, fmt.Errorf("core: packing sweep stream: %w", err)
 	}
-	s.laneMajor = s.packedz != nil && !opt.VertexMajorMulti
+	s.packed = p
 	// Chunk boundaries: a positive ParallelGrain pins the historical
 	// fixed position grain; otherwise chunks are cut so each one's
 	// stream span fits the cache byte budget (Options.ChunkBytes, or
@@ -320,34 +255,13 @@ func NewEngine(h *ch.Hierarchy, opt Options) (*Engine, error) {
 			}
 			budget = b
 		}
-		switch {
-		case s.packedz != nil:
-			s.chunkStart = s.packedz.ChunkStartsByBytes(budget)
-		case s.packed != nil:
-			s.chunkStart = s.packed.ChunkStartsByBytes(budget)
-		default:
-			s.chunkStart = graph.ChunkStartsByBytes(s.downIn, s.order, budget)
-		}
+		s.chunkStart = s.packed.ChunkStartsByBytes(budget)
 	}
 	s.numChunks = int32(len(s.chunkStart) - 1)
-	s.grain = int32((n + int(s.numChunks) - 1) / int(s.numChunks))
-	if s.grain < 1 {
-		s.grain = 1
-	}
 	// Precompute the per-chunk dependency bounds the persistent
-	// scheduler starts chunks by (scheduler.go). The stream flavors walk
-	// the same bytes/words the workers will read; engines built with
-	// PackedOff derive identical bounds from the CSR arrays.
-	var dep []int32
-	var err error
-	switch {
-	case s.packedz != nil:
-		dep, err = s.packedz.ChunkDepBoundsAt(s.chunkStart)
-	case s.packed != nil:
-		dep, err = s.packed.ChunkDepBoundsAt(s.pos, s.chunkStart)
-	default:
-		dep, err = graph.ChunkDepBoundsAt(s.downIn, s.order, s.chunkStart)
-	}
+	// scheduler starts chunks by (scheduler.go), walking the same stream
+	// words the workers will read.
+	dep, err := s.packed.ChunkDepBoundsAt(s.pos, s.chunkStart)
 	if err != nil {
 		return nil, fmt.Errorf("core: chunk dependency bounds: %w", err)
 	}
@@ -404,11 +318,8 @@ func NewEngineSharingPool(e *Engine, h *ch.Hierarchy) (*Engine, error) {
 		toOrig:      old.toOrig,
 		pos:         old.pos,
 		chunkStart:  old.chunkStart,
-		grain:       old.grain,
 		numChunks:   old.numChunks,
 		chunkDep:    old.chunkDep,
-		forkJoin:    old.forkJoin,
-		laneMajor:   old.laneMajor,
 	}
 	if old.mode == SweepReordered {
 		hp, err := h.Permute(old.toEngine)
@@ -424,25 +335,11 @@ func NewEngineSharingPool(e *Engine, h *ch.Hierarchy) (*Engine, error) {
 	if !s.downIn.SameStructure(old.downIn) {
 		return nil, fmt.Errorf("core: sibling hierarchy's downward graph does not match the engine's topology")
 	}
-	if old.packed != nil {
-		p, err := old.packed.WithWeights(s.downIn)
-		if err != nil {
-			return nil, fmt.Errorf("core: patching packed sweep stream: %w", err)
-		}
-		s.packed = p
+	p, err := old.packed.WithWeights(s.downIn)
+	if err != nil {
+		return nil, fmt.Errorf("core: patching packed sweep stream: %w", err)
 	}
-	if old.packedz != nil {
-		// Re-encode the weights into the compressed stream; structure
-		// (deltas, degrees, order) is carried over, not re-derived. The
-		// shared chunk boundaries and dependency bounds are position-
-		// space, so they stay exact even though the new metric may shift
-		// per-block widths and with them the stream's byte spans.
-		z, err := old.packedz.WithWeights(s.downIn)
-		if err != nil {
-			return nil, fmt.Errorf("core: re-encoding compressed sweep stream: %w", err)
-		}
-		s.packedz = z
-	}
+	s.packed = p
 	old.pool.Retain()
 	s.pool = old.pool
 	runtime.SetFinalizer(s, func(s *shared) { s.pool.Release() })
@@ -484,79 +381,34 @@ func (e *Engine) OrigID(v int32) int32 { return e.s.toOrig[v] }
 // shared; callers must not modify it.
 func (e *Engine) LevelRanges() [][2]int32 { return e.s.levelRanges }
 
-// Packed returns the fused single-stream sweep layout the engine scans,
-// or nil when the engine was built with PackedOff or sweeps the
-// compressed stream. Consumers that mirror the sweep's data layout
-// (GPHAST's device upload) decode it instead of re-deriving the CSR
-// arrays.
+// Packed returns the fused single-stream sweep layout the engine scans.
+// Consumers that mirror the sweep's data layout (GPHAST's device
+// upload) decode it instead of re-deriving the CSR arrays.
 func (e *Engine) Packed() *graph.Packed { return e.s.packed }
 
-// PackedZ returns the compressed sweep stream the engine scans, or nil
-// when the engine was not built with CompressedSweep.
-func (e *Engine) PackedZ() *graph.PackedZ { return e.s.packedz }
-
 // StreamBytes returns the bytes of sweep stream one tree scans front to
-// back: the compressed stream's byte length, the packed stream's words
-// in bytes, or the CSR first+arclist footprint for legacy engines. This
-// is the numerator of the achieved-GB/s accounting and the quantity the
-// compression ratio compares.
-func (e *Engine) StreamBytes() int64 {
-	switch {
-	case e.s.packedz != nil:
-		return int64(e.s.packedz.ByteLen())
-	case e.s.packed != nil:
-		return int64(e.s.packed.Words()) * 4
-	default:
-		return int64(e.s.n+1)*4 + int64(e.s.downIn.NumArcs())*8
-	}
-}
-
-// StreamShapeHistogram returns blocks per compressed header shape
-// (graph.PackedZ.ShapeHistogram), or nil when the engine runs no
-// compressed stream. benchsmoke records it next to the stream gate so
-// a ratio regression can be read against the shape mix that produced
-// it — the decode-once kernels specialize the four narrow shapes, so a
-// stream that drifts toward the generic ones decodes slower at the
-// same byte count.
-func (e *Engine) StreamShapeHistogram() map[string]int {
-	if e.s.packedz == nil {
-		return nil
-	}
-	return e.s.packedz.ShapeHistogram()
-}
-
-// CompressionRatio returns the fraction of the equivalent uncompressed
-// packed stream the engine's sweep actually reads: < 1 for compressed
-// engines, exactly 1 otherwise.
-func (e *Engine) CompressionRatio() float64 {
-	if e.s.packedz != nil {
-		return e.s.packedz.CompressionRatio()
-	}
-	return 1
-}
+// back: the packed stream's words in bytes. This is the graph term of
+// the achieved-GB/s accounting.
+func (e *Engine) StreamBytes() int64 { return int64(e.s.packed.Words()) * 4 }
 
 // SweepBytes returns the modeled bytes one k-tree sweep on this engine
-// touches (bandwidth.SweepTraffic over the engine's actual layout).
-// Divide by the measured sweep time for achieved GB/s against the
-// Section VIII-B lower bounds; k <= 0 is treated as a single tree.
+// touches (bandwidth.SweepTraffic over the packed stream and the
+// vertex-major label layout). Divide by the measured sweep time for
+// achieved GB/s against the Section VIII-B lower bounds; k <= 0 is
+// treated as a single tree.
 func (e *Engine) SweepBytes(k int) int64 {
-	t := bandwidth.SweepTraffic{N: e.s.n, M: e.s.downIn.NumArcs(), K: k}
-	// Multi-tree sweeps over the vertex-major layout re-read the relax
-	// target per arc per lane; the lane-major decode-once kernels hold
-	// it in a register (bandwidth.SweepTraffic.LabelRereads).
-	t.LabelRereads = !e.s.laneMajor
-	switch {
-	case e.s.packedz != nil:
-		t.StreamBytes = int64(e.s.packedz.ByteLen())
-	case e.s.packed != nil:
-		t.PackedWords = e.s.packed.Words()
-	default:
-		t.Ordered = e.s.order != nil
+	t := bandwidth.SweepTraffic{
+		N:           e.s.n,
+		M:           e.s.downIn.NumArcs(),
+		K:           k,
+		PackedWords: e.s.packed.Words(),
+		// Multi-tree sweeps over the vertex-major layout re-read the
+		// relax target per arc per lane.
+		LabelRereads: true,
 	}
 	// Pooled sweeps add chunk-grain scheduling traffic (dependency-bound
-	// reads and completion flags); the sequential and fork-join paths
-	// touch none of it.
-	if e.s.pool.Workers() > 1 && !e.s.forkJoin && e.s.numChunks > 1 {
+	// reads and completion flags); the sequential path touches none.
+	if e.s.pool.Workers() > 1 && e.s.numChunks > 1 {
 		t.SchedChunks = int(e.s.numChunks)
 	}
 	return t.Bytes()

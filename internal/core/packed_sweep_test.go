@@ -13,29 +13,22 @@ import (
 	"phast/internal/sssp"
 )
 
-// enginePair builds one hierarchy and returns a packed-stream engine and
-// its legacy-kernel twin over it, for differential tests.
-func enginePair(t *testing.T, g *graph.Graph, mode SweepMode, workers int) (packed, legacy *Engine) {
+// enginePair builds one hierarchy and returns a sequential engine over
+// it together with the hierarchy, for tests that check the engine
+// against referenceTree.
+func enginePair(t *testing.T, g *graph.Graph, mode SweepMode, workers int) (*Engine, *ch.Hierarchy) {
 	t.Helper()
 	h := ch.Build(g, ch.Options{Workers: 1})
-	var err error
-	if packed, err = NewEngine(h, Options{Mode: mode, Workers: workers, PackedSweep: PackedOn}); err != nil {
+	e, err := NewEngine(h, Options{Mode: mode, Workers: workers, ParallelGrain: 8})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy, err = NewEngine(h, Options{Mode: mode, Workers: workers, PackedSweep: PackedOff}); err != nil {
-		t.Fatal(err)
-	}
-	if packed.s.packed == nil {
-		t.Fatal("PackedOn engine has no packed stream")
-	}
-	if legacy.s.packed != nil {
-		t.Fatal("PackedOff engine built a packed stream")
-	}
-	return packed, legacy
+	return e, h
 }
 
-// TestPackedTreeMatchesLegacyAndDijkstra is the single-tree differential
-// oracle: the fused-stream kernel, the legacy CSR+mark kernel, and plain
+// TestPackedTreeMatchesLegacyAndDijkstra is the single-tree
+// differential oracle: the packed chunk kernel, sequential and pooled,
+// the legacy CSR walk (now only the test-side referenceTree), and plain
 // Dijkstra must agree label-for-label in every sweep mode.
 func TestPackedTreeMatchesLegacyAndDijkstra(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
@@ -50,20 +43,26 @@ func TestPackedTreeMatchesLegacyAndDijkstra(t *testing.T) {
 					g = gridGraph(rng, 4+rng.Intn(8), 4+rng.Intn(8), 30)
 				}
 				n := g.NumVertices()
-				pk, lg := enginePair(t, g, mode, 1)
+				pk, h := enginePair(t, g, mode, 2)
 				d := sssp.NewDijkstra(g, pq.KindBinaryHeap)
 				for q := 0; q < 5; q++ {
 					s := int32(rng.Intn(n))
-					pk.Tree(s)
-					lg.Tree(s)
+					ref := referenceTree(h, s)
 					d.Run(s)
-					for v := int32(0); v < int32(n); v++ {
-						want := d.Dist(v)
-						if got := pk.Dist(v); got != want {
-							t.Fatalf("trial %d src %d: packed dist(%d)=%d, want %d", trial, s, v, got, want)
+					for _, parallel := range []bool{false, true} {
+						if parallel {
+							pk.TreeParallel(s)
+						} else {
+							pk.Tree(s)
 						}
-						if got := lg.Dist(v); got != want {
-							t.Fatalf("trial %d src %d: legacy dist(%d)=%d, want %d", trial, s, v, got, want)
+						for v := int32(0); v < int32(n); v++ {
+							want := d.Dist(v)
+							if got := pk.Dist(v); got != want {
+								t.Fatalf("trial %d src %d parallel=%v: packed dist(%d)=%d, want %d", trial, s, parallel, v, got, want)
+							}
+							if ref[v] != want {
+								t.Fatalf("trial %d src %d: reference dist(%d)=%d, want %d", trial, s, v, ref[v], want)
+							}
 						}
 					}
 				}
@@ -96,20 +95,16 @@ func TestPackedTreeWithParentsMatchesDijkstra(t *testing.T) {
 	for _, mode := range allModes {
 		g := gridGraph(rng, 5+rng.Intn(6), 5+rng.Intn(6), 20)
 		n := g.NumVertices()
-		pk, lg := enginePair(t, g, mode, 1)
+		pk, _ := enginePair(t, g, mode, 1)
 		d := sssp.NewDijkstra(g, pq.KindBinaryHeap)
 		for q := 0; q < 3; q++ {
 			s := int32(rng.Intn(n))
 			pk.TreeWithParents(s)
-			lg.TreeWithParents(s)
 			d.Run(s)
 			for v := int32(0); v < int32(n); v += 3 {
 				want := d.Dist(v)
 				if got := pk.Dist(v); got != want {
 					t.Fatalf("%s src %d: packed dist(%d)=%d, want %d", mode, s, v, got, want)
-				}
-				if got := lg.Dist(v); got != want {
-					t.Fatalf("%s src %d: legacy dist(%d)=%d, want %d", mode, s, v, got, want)
 				}
 				path := pk.PathTo(v)
 				if want == graph.Inf {
@@ -133,37 +128,39 @@ func TestPackedTreeWithParentsMatchesDijkstra(t *testing.T) {
 	}
 }
 
-// TestPackedMultiTreeMatchesLegacyAndDijkstra covers the k-lane packed
-// kernels (scalar and 4-wide) for k ∈ {1, 4, 16} against the legacy
-// sweep and Dijkstra, in every sweep mode.
+// TestPackedMultiTreeMatchesLegacyAndDijkstra covers the k-lane
+// kernels (scalar and 4-wide with a scalar tail) for k ∈ {1,3,5,8,16},
+// sequential and pooled, against referenceTree and Dijkstra in every
+// sweep mode.
 func TestPackedMultiTreeMatchesLegacyAndDijkstra(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for _, mode := range allModes {
 		t.Run(mode.String(), func(t *testing.T) {
 			g := gridGraph(rng, 6+rng.Intn(5), 6+rng.Intn(5), 25)
 			n := g.NumVertices()
-			pk, lg := enginePair(t, g, mode, 1)
+			pk, h := enginePair(t, g, mode, 2)
 			d := sssp.NewDijkstra(g, pq.KindBinaryHeap)
-			for _, k := range []int{1, 4, 16} {
+			for _, k := range []int{1, 3, 5, 8, 16} {
+				sources := make([]int32, k)
+				for i := range sources {
+					sources[i] = int32(rng.Intn(n))
+				}
 				for _, lanes := range []bool{false, true} {
-					if lanes && k%4 != 0 {
-						continue
-					}
-					sources := make([]int32, k)
-					for i := range sources {
-						sources[i] = int32(rng.Intn(n))
-					}
-					pk.MultiTree(sources, lanes)
-					lg.MultiTree(sources, lanes)
-					for i, s := range sources {
-						d.Run(s)
-						for v := int32(0); v < int32(n); v += 2 {
-							want := d.Dist(v)
-							if got := pk.MultiDist(i, v); got != want {
-								t.Fatalf("k=%d lanes=%v lane %d src %d: packed dist(%d)=%d, want %d", k, lanes, i, s, v, got, want)
-							}
-							if got := lg.MultiDist(i, v); got != want {
-								t.Fatalf("k=%d lanes=%v lane %d src %d: legacy dist(%d)=%d, want %d", k, lanes, i, s, v, got, want)
+					for _, parallel := range []bool{false, true} {
+						if parallel {
+							pk.MultiTreeParallel(sources, lanes)
+						} else {
+							pk.MultiTree(sources, lanes)
+						}
+						for i, s := range sources {
+							ref := referenceTree(h, s)
+							d.Run(s)
+							for v := int32(0); v < int32(n); v++ {
+								want := d.Dist(v)
+								if got := pk.MultiDist(i, v); got != want || ref[v] != want {
+									t.Fatalf("k=%d lanes=%v parallel=%v lane %d src %d: packed dist(%d)=%d, reference %d, Dijkstra %d",
+										k, lanes, parallel, i, s, v, got, ref[v], want)
+								}
 							}
 						}
 					}
@@ -215,13 +212,13 @@ func TestSweepAboveInt32Boundary(t *testing.T) {
 	}
 	g := b.Build()
 	for _, mode := range allModes {
-		pk, lg := enginePair(t, g, mode, 1)
-		for _, e := range []*Engine{pk, lg} {
-			e.Tree(0)
-			for v := int32(0); v < 4; v++ {
-				if got, want := e.Dist(v), uint32(v)*graph.MaxWeight; got != want {
-					t.Fatalf("%s: dist(%d)=%d, want %d", mode, v, got, want)
-				}
+		pk, h := enginePair(t, g, mode, 1)
+		pk.Tree(0)
+		ref := referenceTree(h, 0)
+		for v := int32(0); v < 4; v++ {
+			want := uint32(v) * graph.MaxWeight
+			if got := pk.Dist(v); got != want || ref[v] != want {
+				t.Fatalf("%s: dist(%d)=%d, reference %d, want %d", mode, v, got, ref[v], want)
 			}
 		}
 	}
@@ -269,19 +266,25 @@ func TestBuildSeedsSortedAndMarksCleared(t *testing.T) {
 
 // TestSweepBytesPackedBelowLegacy pins the point of the fused layout:
 // the modeled sweep traffic of the packed stream must be strictly below
-// the legacy CSR+mark traffic for the same hierarchy, for k = 1 and 16.
+// what the legacy CSR+mark walk touched for the same hierarchy — first
+// (4(n+1)) + AoS arcs (8m) + mark bytes (n), plus the order array in
+// the modes that keep original IDs — for k = 1 and 16.
 func TestSweepBytesPackedBelowLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	g := gridGraph(rng, 12, 12, 20)
 	for _, mode := range allModes {
-		pk, lg := enginePair(t, g, mode, 1)
-		for _, k := range []int{1, 16} {
-			pb, lb := pk.SweepBytes(k), lg.SweepBytes(k)
-			if pb <= 0 || lb <= 0 {
-				t.Fatalf("%s k=%d: non-positive traffic model (%d, %d)", mode, k, pb, lb)
+		pk, _ := enginePair(t, g, mode, 1)
+		n, m := int64(pk.s.n), int64(pk.s.downIn.NumArcs())
+		for _, k := range []int64{1, 16} {
+			legacy := (n+1)*4 + m*8 + n + k*(4*m+4*n)
+			if k > 1 {
+				legacy += k * 4 * m
 			}
-			if pb >= lb {
-				t.Fatalf("%s k=%d: packed traffic %d not below legacy %d", mode, k, pb, lb)
+			if pk.s.order != nil {
+				legacy += 4 * n
+			}
+			if pb := pk.SweepBytes(int(k)); pb <= 0 || pb >= legacy {
+				t.Fatalf("%s k=%d: packed traffic %d not in (0, legacy %d)", mode, k, pb, legacy)
 			}
 		}
 		if pk.SweepBytes(16) <= pk.SweepBytes(1) {
@@ -290,46 +293,15 @@ func TestSweepBytesPackedBelowLegacy(t *testing.T) {
 	}
 }
 
-// TestLegacyParallelBarrierRace keeps the legacy barrier sweeps under
-// the race detector now that the default engine runs the packed kernels
-// (the packed twins are covered by the existing race tests).
-func TestLegacyParallelBarrierRace(t *testing.T) {
-	h, n := raceHierarchy(t)
-	e, err := NewEngine(h, Options{Workers: 4, PackedSweep: PackedOff, ParallelGrain: DefaultParallelGrain})
-	if err != nil {
-		t.Fatal(err)
-	}
-	levelsBigEnough(t, e)
-	rng := rand.New(rand.NewSource(53))
-	s := int32(rng.Intn(n))
-	e.TreeParallel(s)
-	raceFixture.d.Run(s)
-	for v := int32(0); v < int32(n); v += 7 {
-		if got, want := e.Dist(v), raceFixture.d.Dist(v); got != want {
-			t.Fatalf("src %d: dist(%d)=%d, want %d", s, v, got, want)
-		}
-	}
-	sources := []int32{s, int32(rng.Intn(n)), int32(rng.Intn(n)), int32(rng.Intn(n))}
-	e.MultiTreeParallel(sources, false)
-	for i, src := range sources {
-		raceFixture.d.Run(src)
-		for v := int32(0); v < int32(n); v += 11 {
-			if got, want := e.MultiDist(i, v), raceFixture.d.Dist(v); got != want {
-				t.Fatalf("lane %d src %d: dist(%d)=%d, want %d", i, src, v, got, want)
-			}
-		}
-	}
-}
-
-// TestPackedParallelStress interleaves packed parallel single- and
-// multi-tree sweeps on clones of one hierarchy, for the race detector.
+// TestPackedParallelStress interleaves parallel single- and multi-tree
+// sweeps on clones of one hierarchy, for the race detector.
 func TestPackedParallelStress(t *testing.T) {
 	h, n := raceHierarchy(t)
-	proto, err := NewEngine(h, Options{Workers: 4, PackedSweep: PackedOn, ParallelGrain: DefaultParallelGrain})
+	proto, err := NewEngine(h, Options{Workers: 4, ParallelGrain: DefaultParallelGrain})
 	if err != nil {
 		t.Fatal(err)
 	}
-	levelsBigEnough(t, proto)
+	spansChunks(t, proto)
 	done := make(chan error, 3)
 	for c := 0; c < 3; c++ {
 		go func(c int) {

@@ -13,7 +13,7 @@ import (
 // EngineParts is the engine's shared, source-independent state in
 // transportable form: everything NewEngine derives from a hierarchy —
 // the relabeled hierarchy itself, ID mappings, sweep order, level
-// ranges, the packed or compressed stream, and the chunk schedule with
+// ranges, the packed sweep stream, and the chunk schedule with
 // its precomputed dependency bounds. Parts exposes a live engine's
 // state for serialization; NewEngineFromParts rebuilds an engine around
 // it without re-deriving anything, which is what makes an mmap'd
@@ -39,17 +39,12 @@ type EngineParts struct {
 	// LevelRanges are the sweep-position ranges of each level, nil in
 	// SweepRankOrder mode.
 	LevelRanges [][2]int32
-	// Packed/PackedZ is the sweep stream; at most one is non-nil, both
-	// nil for legacy CSR engines.
-	Packed  *graph.Packed
-	PackedZ *graph.PackedZ
+	// Packed is the sweep stream (required).
+	Packed *graph.Packed
 	// ChunkStart/ChunkDep are the scheduler's chunk boundaries (sweep
 	// positions, len NumChunks+1) and per-chunk dependency chunks.
 	ChunkStart []int32
 	ChunkDep   []int32
-	// ForkJoin routes parallel sweeps through the per-level fork-join
-	// oracle instead of the persistent scheduler.
-	ForkJoin bool
 }
 
 // SnapshotInfo carries the provenance of an engine restored from a
@@ -78,10 +73,8 @@ func (e *Engine) Parts() EngineParts {
 		Pos:         s.pos,
 		LevelRanges: s.levelRanges,
 		Packed:      s.packed,
-		PackedZ:     s.packedz,
 		ChunkStart:  s.chunkStart,
 		ChunkDep:    s.chunkDep,
-		ForkJoin:    s.forkJoin,
 	}
 }
 
@@ -134,22 +127,14 @@ func NewEngineFromParts(p EngineParts, workers int, info SnapshotInfo) (*Engine,
 			return nil, fmt.Errorf("core: parts level ranges cover %d of %d positions", at, n)
 		}
 	}
-	if p.Packed != nil && p.PackedZ != nil {
-		return nil, fmt.Errorf("core: parts carry both a packed and a compressed stream")
+	if p.Packed == nil {
+		return nil, fmt.Errorf("core: parts carry no sweep stream")
 	}
 	m := p.H.DownIn.NumArcs()
 	explicit := p.Order != nil
-	if p.Packed != nil {
-		if p.Packed.NumVertices() != n || p.Packed.NumArcs() != m || p.Packed.ExplicitVertex() != explicit {
-			return nil, fmt.Errorf("core: packed stream dims %d/%d/explicit=%v do not match hierarchy %d/%d/explicit=%v",
-				p.Packed.NumVertices(), p.Packed.NumArcs(), p.Packed.ExplicitVertex(), n, m, explicit)
-		}
-	}
-	if p.PackedZ != nil {
-		if p.PackedZ.NumVertices() != n || p.PackedZ.NumArcs() != m || p.PackedZ.ExplicitVertex() != explicit {
-			return nil, fmt.Errorf("core: compressed stream dims %d/%d/explicit=%v do not match hierarchy %d/%d/explicit=%v",
-				p.PackedZ.NumVertices(), p.PackedZ.NumArcs(), p.PackedZ.ExplicitVertex(), n, m, explicit)
-		}
+	if p.Packed.NumVertices() != n || p.Packed.NumArcs() != m || p.Packed.ExplicitVertex() != explicit {
+		return nil, fmt.Errorf("core: packed stream dims %d/%d/explicit=%v do not match hierarchy %d/%d/explicit=%v",
+			p.Packed.NumVertices(), p.Packed.NumArcs(), p.Packed.ExplicitVertex(), n, m, explicit)
 	}
 	if err := graph.ValidChunkStarts(p.ChunkStart, n); err != nil {
 		return nil, fmt.Errorf("core: parts chunk starts: %w", err)
@@ -163,10 +148,6 @@ func NewEngineFromParts(p EngineParts, workers int, info SnapshotInfo) (*Engine,
 			return nil, fmt.Errorf("core: parts chunk dep %d of chunk %d escapes [-1,%d)", d, c, c)
 		}
 	}
-	grain := int32((n + int(numChunks) - 1) / int(numChunks))
-	if grain < 1 {
-		grain = 1
-	}
 	s := &shared{
 		mode:          p.Mode,
 		n:             n,
@@ -178,17 +159,10 @@ func NewEngineFromParts(p EngineParts, workers int, info SnapshotInfo) (*Engine,
 		toEngine:      p.ToEngine,
 		toOrig:        p.ToOrig,
 		packed:        p.Packed,
-		packedz:       p.PackedZ,
 		pos:           p.Pos,
 		chunkStart:    p.ChunkStart,
-		grain:         grain,
 		numChunks:     numChunks,
 		chunkDep:      p.ChunkDep,
-		forkJoin:      p.ForkJoin,
-		// Restored compressed engines always run the production
-		// lane-major multi kernels; the vertex-major oracle is a
-		// construction-time debugging option, not snapshot state.
-		laneMajor: p.PackedZ != nil,
 		hold:          info.Hold,
 		snapshotBytes: info.Bytes,
 		coldStart:     info.ColdStart,

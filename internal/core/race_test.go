@@ -11,12 +11,10 @@ import (
 )
 
 // These tests exist to run under `go test -race`: the parallel sweeps
-// hand chunks to persistent pool workers (or, under ForkJoinSweep, spawn
-// per-level goroutine waves), and before this file nothing exercised
-// that handoff with the race detector watching. The graph is sized so
-// the sweep spans several grain-sized chunks and at least one level
-// exceeds DefaultParallelGrain — otherwise the sequential fallback would
-// hide the workers entirely.
+// hand chunks to persistent pool workers, and the race detector must
+// watch that handoff. The graph is sized so the sweep spans several
+// grain-sized chunks — otherwise the sequential path would hide the
+// workers entirely.
 
 // raceFixture builds one hierarchy big enough for real worker spawns and
 // shares it across the race tests (CH construction dominates test time).
@@ -38,30 +36,25 @@ func raceHierarchy(t *testing.T) (*ch.Hierarchy, int) {
 	return raceFixture.h, raceFixture.n
 }
 
-// levelsBigEnough asserts the fixture actually triggers parallel work:
-// at least one level reaches the default grain, so the fork-join oracle
-// splits it across workers (the pooled scheduler parallelizes whenever
-// the sweep spans more than one chunk, which 5400 vertices guarantee).
-func levelsBigEnough(t *testing.T, e *Engine) {
+// spansChunks asserts the fixture actually triggers parallel work: the
+// sweep spans several scheduler chunks, so pool workers claim some.
+func spansChunks(t *testing.T, e *Engine) {
 	t.Helper()
-	for _, r := range e.LevelRanges() {
-		if r[1]-r[0] >= DefaultParallelGrain {
-			return
-		}
+	if e.s.numChunks < 2 {
+		t.Fatalf("race fixture sweeps as %d chunk; pool workers never run and the race test is vacuous", e.s.numChunks)
 	}
-	t.Fatal("race fixture has no level ≥ DefaultParallelGrain; fork-join workers never spawn and the race test is vacuous")
 }
 
 // TestTreeParallelBarrierRace drives the single-tree parallel sweep with
-// 4 workers and verifies labels against Dijkstra; under -race this is
-// the first exercise of the per-level barrier handoff.
+// 4 workers and verifies labels against Dijkstra; under -race this
+// exercises the chunk handoff between the frontier and the workers.
 func TestTreeParallelBarrierRace(t *testing.T) {
 	h, n := raceHierarchy(t)
 	e, err := NewEngine(h, Options{Workers: 4, ParallelGrain: DefaultParallelGrain})
 	if err != nil {
 		t.Fatal(err)
 	}
-	levelsBigEnough(t, e)
+	spansChunks(t, e)
 	rng := rand.New(rand.NewSource(51))
 	trees := 6
 	if testing.Short() {
@@ -79,8 +72,8 @@ func TestTreeParallelBarrierRace(t *testing.T) {
 	}
 }
 
-// TestMultiTreeParallelBarrierRace does the same for the k-lane parallel
-// sweep, whose level threshold scales with k.
+// TestMultiTreeParallelBarrierRace does the same for the k-lane
+// parallel sweep, scalar and lanes, including k not a multiple of 4.
 func TestMultiTreeParallelBarrierRace(t *testing.T) {
 	h, n := raceHierarchy(t)
 	e, err := NewEngine(h, Options{Workers: 4, ParallelGrain: DefaultParallelGrain})
@@ -88,12 +81,12 @@ func TestMultiTreeParallelBarrierRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(52))
-	for _, k := range []int{4, 8} {
+	for _, k := range []int{4, 5, 8} {
 		sources := make([]int32, k)
 		for i := range sources {
 			sources[i] = int32(rng.Intn(n))
 		}
-		e.MultiTreeParallel(sources, false)
+		e.MultiTreeParallel(sources, k != 8)
 		for i, s := range sources {
 			raceFixture.d.Run(s)
 			for v := int32(0); v < int32(n); v += 11 {
@@ -107,7 +100,7 @@ func TestMultiTreeParallelBarrierRace(t *testing.T) {
 
 // TestParallelSweepsAcrossClones runs parallel sweeps simultaneously on
 // several clones of one shared hierarchy — per-source parallelism
-// (Section V) stacked on intra-level parallelism — so -race watches
+// (Section V) stacked on intra-sweep parallelism — so -race watches
 // worker goroutines of different engines interleave over the shared
 // immutable graphs.
 func TestParallelSweepsAcrossClones(t *testing.T) {

@@ -4,61 +4,37 @@ import (
 	"phast/internal/sched"
 )
 
-// The persistent sweep scheduler that replaced the per-level fork-join
-// of the original Section V implementation lives in internal/sched
-// since the metric-customization PR — ch.Topology.Customize runs its
-// triangle-relaxation pass over the contraction order on the very same
-// parked worker pool, and core imports ch, so the pool could not stay
-// here. This file is the thin engine-side shim: kernel-family dispatch
-// and the Engine methods that proxy the shared pool.
+// The persistent sweep scheduler lives in internal/sched because
+// ch.Topology.Customize runs its triangle-relaxation pass over the
+// contraction order on the very same parked worker pool, and core
+// imports ch. This file is the thin engine-side shim: kernel-family
+// dispatch and the Engine methods that proxy the shared pool.
 //
 // The scheduling design is documented in internal/sched: chunks of
 // sweep positions claimed in order through an atomic cursor, started
 // once the monotone completion frontier passes their precomputed
-// dependency bound (graph.ChunkDepBounds), with the done-flag store +
-// frontier CAS providing the happens-before edge between a chunk's
-// label writes and its dependents' reads.
+// dependency bound (graph.Packed.ChunkDepBoundsAt), with the done-flag
+// store + frontier CAS providing the happens-before edge between a
+// chunk's label writes and its dependents' reads.
 
-// sweepKind names one parallel kernel family: which chunk-scan routine
-// the scheduler's workers run. Packed vs CSR is decided once at the
-// entry point, not per chunk.
+// sweepKind names one chunk kernel family: which chunk-scan routine a
+// sweep runs, sequentially over [0,n) or per scheduler chunk.
 type sweepKind int
 
 const (
-	csrSingle sweepKind = iota
-	csrParents
-	csrMulti
-	csrLanes
-	packedSingle
-	packedParents
-	packedMulti
-	packedLanes
-	packedZSingle
-	packedZParents
-	packedZMulti
-	packedZLanes
-	// The lane-major decode-once compressed multi family
-	// (packedz_soa.go); the packedZMulti/packedZLanes kinds above are
-	// its vertex-major differential oracle.
-	packedZMultiSoA
-	packedZLanesSoA
+	sweepSingle  sweepKind = iota // scanPackedChunk
+	sweepParents                  // scanPackedParentsChunk
+	sweepMulti                    // scanPackedMultiChunk
+	sweepLanes                    // scanPackedLanesChunk
 )
-
-// multiKind reports whether the kind sweeps k trees (its level-size
-// threshold under the fork-join oracle scales with k).
-func (k sweepKind) multiKind() bool {
-	return k == csrMulti || k == csrLanes || k == packedMulti || k == packedLanes ||
-		k == packedZMulti || k == packedZLanes ||
-		k == packedZMultiSoA || k == packedZLanesSoA
-}
 
 // SchedStats is a snapshot of the persistent scheduler's counters,
 // accumulated across every engine clone (and every customized sibling
 // engine) sharing the pool.
 type SchedStats struct {
 	// Sweeps is the number of sweeps executed on the pooled scheduler
-	// (fork-join and sequential sweeps are not counted; customization
-	// passes running on the same pool are).
+	// (sequential sweeps are not counted; customization passes running
+	// on the same pool are).
 	Sweeps uint64
 	// Chunks is the number of chunks claimed and scanned, across all
 	// workers including the submitting goroutine.
@@ -91,27 +67,19 @@ func (e *Engine) runPooled(kind sweepKind, k int) {
 	s.pool.Run(j)
 }
 
-// parallelSweep runs one sweep of the given kind on the configured
-// parallel machinery and reports whether it did; false means the caller
-// must run its sequential kernel (single worker, a sweep smaller than
-// one chunk, or the fork-join oracle in a mode without level ranges).
-func (e *Engine) parallelSweep(kind sweepKind, k int) bool {
+// sweep runs phase 2 for the upward search just completed: it turns the
+// search space into seed positions, then scans the whole stream with
+// the kind's chunk kernel — on the pooled scheduler when parallel is
+// requested and there is more than one worker and one chunk, as the
+// single chunk [0,n) otherwise.
+func (e *Engine) sweep(kind sweepKind, k int, parallel bool) {
+	e.buildSeeds()
 	s := e.s
-	if s.pool.Workers() <= 1 || s.numChunks <= 1 {
-		return false
+	if parallel && s.pool.Workers() > 1 && s.numChunks > 1 {
+		e.runPooled(kind, k)
+		return
 	}
-	if s.forkJoin {
-		if s.levelRanges == nil {
-			// Descending rank order is a valid topological order but not
-			// grouped by level, so the barrier oracle has nothing to
-			// barrier between. The pooled scheduler has no such limit.
-			return false
-		}
-		s.pool.Guard(func() { e.forkJoinSweep(kind, k) })
-		return true
-	}
-	e.runPooled(kind, k)
-	return true
+	e.scanChunkKind(kind, k, 0, int32(s.n))
 }
 
 // SetWorkers changes the sweep worker count at runtime for this engine
@@ -146,39 +114,18 @@ func (e *Engine) SchedStats() SchedStats {
 func (e *Engine) SchedPool() *sched.Pool { return e.s.pool }
 
 // scanChunkKind dispatches one chunk of sweep positions [lo,hi) to the
-// kernel family the sweep was opened with. Shared by the pooled
-// scheduler (per chunk) and the fork-join oracle (per level slice).
+// kernel family the sweep was opened with.
 //
 //phast:hotpath
 func (e *Engine) scanChunkKind(kind sweepKind, k int, lo, hi int32) {
 	switch kind {
-	case csrSingle:
-		e.scanCSRChunk(lo, hi)
-	case csrParents:
-		e.scanCSRParentsChunk(lo, hi)
-	case csrMulti:
-		e.scanCSRMultiChunk(lo, hi, k)
-	case csrLanes:
-		e.scanCSRLanesChunk(lo, hi, k)
-	case packedSingle:
+	case sweepSingle:
 		e.scanPackedChunk(lo, hi)
-	case packedParents:
+	case sweepParents:
 		e.scanPackedParentsChunk(lo, hi)
-	case packedMulti:
+	case sweepMulti:
 		e.scanPackedMultiChunk(lo, hi, k)
-	case packedLanes:
+	case sweepLanes:
 		e.scanPackedLanesChunk(lo, hi, k)
-	case packedZSingle:
-		e.scanPackedZChunk(lo, hi)
-	case packedZParents:
-		e.scanPackedZParentsChunk(lo, hi)
-	case packedZMulti:
-		e.scanPackedZMultiChunk(lo, hi, k)
-	case packedZLanes:
-		e.scanPackedZLanesChunk(lo, hi, k)
-	case packedZMultiSoA:
-		e.scanPackedZSoAChunk(lo, hi, k, false)
-	case packedZLanesSoA:
-		e.scanPackedZSoAChunk(lo, hi, k, true)
 	}
 }

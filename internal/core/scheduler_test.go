@@ -6,112 +6,100 @@ import (
 	"sync"
 	"testing"
 
+	"phast/internal/ch"
 	"phast/internal/graph"
+	"phast/internal/pq"
 	"phast/internal/sched"
+	"phast/internal/sssp"
 )
 
-// Differential suite for the persistent sweep scheduler: every parallel
-// kernel family must produce the same labels as the fork-join oracle,
-// the sequential kernels, and Dijkstra — across all three sweep modes,
-// both graph layouts, and k ∈ {1, 4, 16}.
-
+// TestPooledSweepDifferential is the differential suite for the
+// persistent sweep scheduler: every kernel family, pooled and
+// sequential, must produce the labels of referenceTree and Dijkstra —
+// across all three sweep modes, k ∈ {1,3,5,8,16} and both lane
+// settings.
 func TestPooledSweepDifferential(t *testing.T) {
 	h, n := raceHierarchy(t)
 	rng := rand.New(rand.NewSource(71))
 	for _, mode := range allModes {
-		for _, packed := range []PackedSetting{PackedOff, PackedOn} {
-			opt := Options{Mode: mode, Workers: 4, PackedSweep: packed, ParallelGrain: 512}
-			pooled, err := NewEngine(h, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fjOpt := opt
-			fjOpt.ForkJoinSweep = true
-			fj, err := NewEngine(h, fjOpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq, err := NewEngine(h, Options{Mode: mode, Workers: 1, PackedSweep: packed})
-			if err != nil {
-				t.Fatal(err)
-			}
+		pooled, err := NewEngine(h, Options{Mode: mode, Workers: 4, ParallelGrain: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := NewEngine(h, Options{Mode: mode, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			// Single tree, against all three oracles.
-			s := int32(rng.Intn(n))
-			pooled.TreeParallel(s)
-			fj.TreeParallel(s)
-			seq.Tree(s)
-			raceFixture.d.Run(s)
-			for v := int32(0); v < int32(n); v += 7 {
-				want := raceFixture.d.Dist(v)
-				if got := pooled.Dist(v); got != want {
-					t.Fatalf("mode=%v packed=%v: pooled dist(%d)=%d, Dijkstra %d", mode, packed, v, got, want)
-				}
-				if got := fj.Dist(v); got != want {
-					t.Fatalf("mode=%v packed=%v: fork-join dist(%d)=%d, Dijkstra %d", mode, packed, v, got, want)
-				}
-				if got := seq.Dist(v); got != want {
-					t.Fatalf("mode=%v packed=%v: sequential dist(%d)=%d, Dijkstra %d", mode, packed, v, got, want)
-				}
+		// Single tree, against both oracles.
+		s := int32(rng.Intn(n))
+		pooled.TreeParallel(s)
+		seq.Tree(s)
+		raceFixture.d.Run(s)
+		ref := referenceTree(h, s)
+		for v := int32(0); v < int32(n); v++ {
+			want := raceFixture.d.Dist(v)
+			if got := pooled.Dist(v); got != want || ref[v] != want {
+				t.Fatalf("mode=%v: pooled dist(%d)=%d, reference %d, Dijkstra %d", mode, v, got, ref[v], want)
 			}
-
-			// Parents: distances must match, and every parallel-computed
-			// path must be tight (its arc weights sum to the label).
-			s2 := int32(rng.Intn(n))
-			pooled.TreeWithParentsParallel(s2)
-			fj.TreeWithParentsParallel(s2)
-			seq.TreeWithParents(s2)
-			g := h.G
-			for i := 0; i < 25; i++ {
-				v := int32(rng.Intn(n))
-				want := seq.Dist(v)
-				if got := pooled.Dist(v); got != want {
-					t.Fatalf("mode=%v packed=%v parents: pooled dist(%d)=%d, want %d", mode, packed, v, got, want)
-				}
-				if got := fj.Dist(v); got != want {
-					t.Fatalf("mode=%v packed=%v parents: fork-join dist(%d)=%d, want %d", mode, packed, v, got, want)
-				}
-				path := pooled.PathTo(v)
-				if path == nil {
-					if want != graph.Inf {
-						t.Fatalf("mode=%v packed=%v: no path to reachable %d", mode, packed, v)
-					}
-					continue
-				}
-				var sum uint32
-				for j := 1; j < len(path); j++ {
-					w, ok := g.FindArc(path[j-1], path[j])
-					if !ok {
-						t.Fatalf("mode=%v packed=%v: path step %d→%d is not an arc", mode, packed, path[j-1], path[j])
-					}
-					sum += w
-				}
-				if sum != want {
-					t.Fatalf("mode=%v packed=%v: path to %d weighs %d, dist %d", mode, packed, v, sum, want)
-				}
+			if got := seq.Dist(v); got != want {
+				t.Fatalf("mode=%v: sequential dist(%d)=%d, Dijkstra %d", mode, v, got, want)
 			}
+		}
 
-			// Multi-tree: scalar for every k, the 4-wide lanes where k
-			// allows them.
-			for _, k := range []int{1, 4, 16} {
-				sources := make([]int32, k)
-				for i := range sources {
-					sources[i] = int32(rng.Intn(n))
+		// Parents: distances must match, and every parallel-computed
+		// path must be tight (its arc weights sum to the label).
+		s2 := int32(rng.Intn(n))
+		pooled.TreeWithParentsParallel(s2)
+		seq.TreeWithParents(s2)
+		g := h.G
+		for i := 0; i < 25; i++ {
+			v := int32(rng.Intn(n))
+			want := seq.Dist(v)
+			if got := pooled.Dist(v); got != want {
+				t.Fatalf("mode=%v parents: pooled dist(%d)=%d, want %d", mode, v, got, want)
+			}
+			path := pooled.PathTo(v)
+			if path == nil {
+				if want != graph.Inf {
+					t.Fatalf("mode=%v: no path to reachable %d", mode, v)
 				}
-				lanes := k%4 == 0 && k >= 4
+				continue
+			}
+			var sum uint32
+			for j := 1; j < len(path); j++ {
+				w, ok := g.FindArc(path[j-1], path[j])
+				if !ok {
+					t.Fatalf("mode=%v: path step %d→%d is not an arc", mode, path[j-1], path[j])
+				}
+				sum += w
+			}
+			if sum != want {
+				t.Fatalf("mode=%v: path to %d weighs %d, dist %d", mode, v, sum, want)
+			}
+		}
+
+		// Multi-tree: scalar and lanes, pooled and sequential.
+		for _, k := range []int{1, 3, 5, 8, 16} {
+			sources := make([]int32, k)
+			refs := make([][]uint32, k)
+			for i := range sources {
+				sources[i] = int32(rng.Intn(n))
+				refs[i] = referenceTree(h, sources[i])
+			}
+			for _, lanes := range []bool{false, true} {
 				pooled.MultiTreeParallel(sources, lanes)
-				fj.MultiTreeParallel(sources, lanes)
-				seq.MultiTree(sources, false)
+				seq.MultiTree(sources, lanes)
 				for i := range sources {
 					for v := int32(0); v < int32(n); v += 13 {
-						want := seq.MultiDist(i, v)
+						want := refs[i][v]
 						if got := pooled.MultiDist(i, v); got != want {
-							t.Fatalf("mode=%v packed=%v k=%d lanes=%v lane %d: pooled dist(%d)=%d, want %d",
-								mode, packed, k, lanes, i, v, got, want)
+							t.Fatalf("mode=%v k=%d lanes=%v lane %d: pooled dist(%d)=%d, reference %d",
+								mode, k, lanes, i, v, got, want)
 						}
-						if got := fj.MultiDist(i, v); got != want {
-							t.Fatalf("mode=%v packed=%v k=%d lanes=%v lane %d: fork-join dist(%d)=%d, want %d",
-								mode, packed, k, lanes, i, v, got, want)
+						if got := seq.MultiDist(i, v); got != want {
+							t.Fatalf("mode=%v k=%d lanes=%v lane %d: sequential dist(%d)=%d, reference %d",
+								mode, k, lanes, i, v, got, want)
 						}
 					}
 				}
@@ -120,37 +108,28 @@ func TestPooledSweepDifferential(t *testing.T) {
 	}
 }
 
-// TestPooledRankOrderRunsParallel pins the capability the barrier relax
-// bought: descending rank order has no level ranges for the fork-join
-// oracle to barrier between, so it used to fall back to the sequential
-// kernel — the dependency-bounded scheduler parallelizes it anyway.
+// TestPooledRankOrderRunsParallel pins a capability the dependency
+// bounds buy: descending rank order has no level ranges to barrier
+// between, yet the scheduler parallelizes it.
 func TestPooledRankOrderRunsParallel(t *testing.T) {
 	h, n := raceHierarchy(t)
 	pooled, err := NewEngine(h, Options{Mode: SweepRankOrder, Workers: 4, ParallelGrain: DefaultParallelGrain})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fj, err := NewEngine(h, Options{Mode: SweepRankOrder, Workers: 4, ForkJoinSweep: true, ParallelGrain: DefaultParallelGrain})
-	if err != nil {
-		t.Fatal(err)
+	if pooled.LevelRanges() != nil {
+		t.Fatal("rank order unexpectedly has level ranges")
 	}
 	s := int32(42)
 	pooled.TreeParallel(s)
-	fj.TreeParallel(s)
 	raceFixture.d.Run(s)
 	for v := int32(0); v < int32(n); v += 7 {
 		if got, want := pooled.Dist(v), raceFixture.d.Dist(v); got != want {
 			t.Fatalf("rank-order pooled dist(%d)=%d, want %d", v, got, want)
 		}
-		if got, want := fj.Dist(v), raceFixture.d.Dist(v); got != want {
-			t.Fatalf("rank-order fork-join-fallback dist(%d)=%d, want %d", v, got, want)
-		}
 	}
 	if st := pooled.SchedStats(); st.Sweeps != 1 || st.Chunks == 0 {
 		t.Fatalf("pooled rank-order sweep did not run on the scheduler: %+v", st)
-	}
-	if st := fj.SchedStats(); st.Sweeps != 0 {
-		t.Fatalf("fork-join engine unexpectedly used the pool: %+v", st)
 	}
 }
 
@@ -331,5 +310,39 @@ func TestSchedulerStressWithResizes(t *testing.T) {
 	resizer.Wait()
 	if st := proto.SchedStats(); st.Sweeps == 0 || st.Chunks == 0 {
 		t.Fatalf("stress ran no pooled sweeps: %+v", st)
+	}
+}
+
+// TestByteBudgetChunks runs the pooled sweep under tiny explicit
+// ChunkBytes budgets — many small, uneven chunks with real cross-chunk
+// dependencies — and checks single- and multi-tree labels against
+// Dijkstra.
+func TestByteBudgetChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(84))
+	g := gridGraph(rng, 20, 15, 40)
+	n := g.NumVertices()
+	h := ch.Build(g, ch.Options{Workers: 1})
+	d := sssp.NewDijkstra(g, pq.KindBinaryHeap)
+	for _, budget := range []int{32, 256, 4096} {
+		e, err := NewEngine(h, Options{Workers: 4, ChunkBytes: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources := []int32{int32(rng.Intn(n)), int32(rng.Intn(n)), int32(rng.Intn(n))}
+		e.MultiTreeParallel(sources, true)
+		for i, s := range sources {
+			d.Run(s)
+			for v := int32(0); v < int32(n); v++ {
+				if got, want := e.MultiDist(i, v), d.Dist(v); got != want {
+					t.Fatalf("budget %d lane %d src %d: dist(%d)=%d, want %d", budget, i, s, v, got, want)
+				}
+			}
+			e.TreeParallel(s)
+			for v := int32(0); v < int32(n); v++ {
+				if got, want := e.Dist(v), d.Dist(v); got != want {
+					t.Fatalf("budget %d src %d: dist(%d)=%d, want %d", budget, s, v, got, want)
+				}
+			}
+		}
 	}
 }

@@ -6,51 +6,39 @@ import "phast/internal/graph"
 // vertex ID) with one upward CH search and one sequential linear sweep.
 // Labels are read back with Dist/RawDistances; previous results become
 // invalid. Parent pointers are not recorded — use TreeWithParents.
-func (e *Engine) Tree(source int32) {
-	e.hasParents = false
-	e.lastMulti = false
-	e.chSearch(source, nil)
-	if e.s.packedz != nil {
-		e.buildSeeds()
-		e.sweepPackedZ()
-		return
-	}
-	if e.s.packed != nil {
-		e.buildSeeds()
-		e.sweepPacked()
-		return
-	}
-	if e.s.order == nil {
-		e.sweepIdentity()
-	} else {
-		e.sweepOrdered()
-	}
-}
+func (e *Engine) Tree(source int32) { e.tree(source, false, false) }
 
 // TreeWithParents is Tree but additionally records, for every vertex,
 // the arc of G+ = (V, A ∪ A+) responsible for its label (Section VII-A).
-func (e *Engine) TreeWithParents(source int32) {
-	if e.parent == nil {
-		e.parent = make([]int32, e.s.n)
-	}
-	e.hasParents = true
+func (e *Engine) TreeWithParents(source int32) { e.tree(source, true, false) }
+
+// TreeParallel computes the tree from source using the multi-core sweep
+// of Section V on the persistent scheduler. It runs the sequential
+// sweep when a single worker is configured or the stream fits in one
+// chunk.
+func (e *Engine) TreeParallel(source int32) { e.tree(source, false, true) }
+
+// TreeWithParentsParallel is TreeParallel additionally recording, for
+// every vertex, the arc of G+ responsible for its label (Section
+// VII-A), enabling PathTo.
+func (e *Engine) TreeWithParentsParallel(source int32) { e.tree(source, true, true) }
+
+// tree runs both PHAST phases for one source: the upward CH search,
+// then one sweep of the single-tree or parent-recording kernel.
+func (e *Engine) tree(source int32, parents, parallel bool) {
+	e.hasParents = parents
 	e.lastMulti = false
-	e.chSearch(source, e.parent)
-	if e.s.packedz != nil {
-		e.buildSeeds()
-		e.sweepPackedZParents()
-		return
+	kind := sweepSingle
+	var par []int32
+	if parents {
+		if e.parent == nil {
+			e.parent = make([]int32, e.s.n)
+		}
+		par = e.parent
+		kind = sweepParents
 	}
-	if e.s.packed != nil {
-		e.buildSeeds()
-		e.sweepPackedParents()
-		return
-	}
-	if e.s.order == nil {
-		e.sweepIdentityParents()
-	} else {
-		e.sweepOrderedParents()
-	}
+	e.chSearch(source, par)
+	e.sweep(kind, 1, parallel)
 }
 
 // chSearch is PHAST's first phase: Dijkstra from the source in the
@@ -129,118 +117,6 @@ func (e *Engine) UpwardSearchSpace(source int32, verts []int32, dists []uint32) 
 		e.mark[v] = false
 	}
 	return verts, dists
-}
-
-// sweepIdentity is the second phase in the reordered layout: a pure
-// linear scan over vertices 0..n-1, reading the incoming downward arcs
-// and head labels sequentially (Section IV-A). The only non-sequential
-// accesses are the labels of arc tails.
-//
-//phast:hotpath
-func (e *Engine) sweepIdentity() {
-	first := e.s.downIn.FirstOut()
-	arcs := e.s.downIn.ArcList()
-	dist := e.dist
-	mark := e.mark
-	n := int32(e.s.n)
-	for v := int32(0); v < n; v++ {
-		best := graph.Inf
-		if mark[v] {
-			best = dist[v]
-			mark[v] = false
-		}
-		for i := first[v]; i < first[v+1]; i++ {
-			a := arcs[i]
-			if nd := graph.AddSat(dist[a.Head], a.Weight); nd < best {
-				best = nd
-			}
-		}
-		dist[v] = best
-	}
-}
-
-// sweepOrdered is the second phase when vertices keep their original IDs
-// and are visited through an order array (rank order or level order).
-//
-//phast:hotpath
-func (e *Engine) sweepOrdered() {
-	first := e.s.downIn.FirstOut()
-	arcs := e.s.downIn.ArcList()
-	dist := e.dist
-	mark := e.mark
-	for _, v := range e.s.order {
-		best := graph.Inf
-		if mark[v] {
-			best = dist[v]
-			mark[v] = false
-		}
-		for i := first[v]; i < first[v+1]; i++ {
-			a := arcs[i]
-			if nd := graph.AddSat(dist[a.Head], a.Weight); nd < best {
-				best = nd
-			}
-		}
-		dist[v] = best
-	}
-}
-
-// sweepIdentityParents is sweepIdentity recording parent pointers too.
-//
-//phast:hotpath
-func (e *Engine) sweepIdentityParents() {
-	first := e.s.downIn.FirstOut()
-	arcs := e.s.downIn.ArcList()
-	dist := e.dist
-	mark := e.mark
-	parent := e.parent
-	n := int32(e.s.n)
-	for v := int32(0); v < n; v++ {
-		best := graph.Inf
-		bestP := int32(-1)
-		if mark[v] {
-			best = dist[v]
-			bestP = parent[v] // set by the CH search
-			mark[v] = false
-		}
-		for i := first[v]; i < first[v+1]; i++ {
-			a := arcs[i]
-			if nd := graph.AddSat(dist[a.Head], a.Weight); nd < best {
-				best = nd
-				bestP = a.Head
-			}
-		}
-		dist[v] = best
-		parent[v] = bestP
-	}
-}
-
-// sweepOrderedParents is sweepOrdered recording parent pointers too.
-//
-//phast:hotpath
-func (e *Engine) sweepOrderedParents() {
-	first := e.s.downIn.FirstOut()
-	arcs := e.s.downIn.ArcList()
-	dist := e.dist
-	mark := e.mark
-	parent := e.parent
-	for _, v := range e.s.order {
-		best := graph.Inf
-		bestP := int32(-1)
-		if mark[v] {
-			best = dist[v]
-			bestP = parent[v]
-			mark[v] = false
-		}
-		for i := first[v]; i < first[v+1]; i++ {
-			a := arcs[i]
-			if nd := graph.AddSat(dist[a.Head], a.Weight); nd < best {
-				best = nd
-				bestP = a.Head
-			}
-		}
-		dist[v] = best
-		parent[v] = bestP
-	}
 }
 
 // ParentGPlus returns the G+ parent (original ID space) of v recorded by

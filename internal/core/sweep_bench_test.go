@@ -7,69 +7,25 @@ import (
 	"phast/internal/ch"
 )
 
-// Sweep-kernel microbenchmarks: phase 2 only, no upward search in the
-// timed region, so the packed stream and the legacy CSR+mark kernels
-// are compared on exactly the code the fused layout changes.
-
-var sweepBench struct {
-	h *ch.Hierarchy
-	n int
-}
-
-func sweepHierarchy(b *testing.B) (*ch.Hierarchy, int) {
-	if sweepBench.h == nil {
-		rng := rand.New(rand.NewSource(9))
-		g := gridGraph(rng, 120, 100, 30)
-		sweepBench.h = ch.Build(g, ch.Options{Workers: 1})
-		sweepBench.n = g.NumVertices()
-	}
-	return sweepBench.h, sweepBench.n
-}
-
-func benchSweepKernel(b *testing.B, packed PackedSetting) {
-	h, n := sweepHierarchy(b)
-	e, err := NewEngine(h, Options{Mode: SweepReordered, Workers: 1, PackedSweep: packed})
+// BenchmarkSweepKernelPacked times phase 2 only: the upward search and
+// seed build run outside the timed region, so the number is the
+// single-tree chunk kernel over [0,n).
+func BenchmarkSweepKernelPacked(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	g := gridGraph(rng, 120, 100, 30)
+	h := ch.Build(g, ch.Options{Workers: 1})
+	e, err := NewEngine(h, Options{Mode: SweepReordered, Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	src := int32(n / 2)
-	b.ResetTimer()
-	if packed != PackedOff {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			e.chSearch(src, nil)
-			e.buildSeeds()
-			b.StartTimer()
-			e.sweepPacked()
-		}
-	} else {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			e.chSearch(src, nil)
-			b.StartTimer()
-			e.sweepIdentity()
-		}
-	}
-}
-
-func BenchmarkSweepKernelPacked(b *testing.B) { benchSweepKernel(b, PackedOn) }
-func BenchmarkSweepKernelLegacy(b *testing.B) { benchSweepKernel(b, PackedOff) }
-
-// BenchmarkSweepKernelCompressed times the delta+varint decode kernel
-// on the same fixture, isolating decode cost from the upward search.
-func BenchmarkSweepKernelCompressed(b *testing.B) {
-	h, n := sweepHierarchy(b)
-	e, err := NewEngine(h, Options{Mode: SweepReordered, Workers: 1, CompressedSweep: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := int32(n / 2)
+	src := int32(g.NumVertices() / 2)
+	n := int32(g.NumVertices())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		e.chSearch(src, nil)
 		e.buildSeeds()
 		b.StartTimer()
-		e.sweepPackedZ()
+		e.scanPackedChunk(0, n)
 	}
 }

@@ -22,26 +22,23 @@ func randomSweepDAG(rng *rand.Rand, order []int32, m int) *Graph {
 	return b.Build()
 }
 
-// bruteChunkDeps recomputes the bounds straight from the definition:
-// for each chunk, the maximum tail position among arcs entering it from
-// before the chunk start, else -1.
-func bruteChunkDeps(g *Graph, order []int32, grain int) []int32 {
+// bruteChunkDeps recomputes the bounds straight from the definition
+// over the CSR graph: for each chunk [starts[c], starts[c+1]), the
+// maximum tail position among arcs entering it from before the chunk
+// start, else -1.
+func bruteChunkDeps(g *Graph, order []int32, starts []int32) []int32 {
 	n := g.NumVertices()
 	pos := make([]int32, n)
 	for p, v := range order {
 		pos[v] = int32(p)
 	}
-	dep := make([]int32, (n+grain-1)/grain)
+	dep := make([]int32, len(starts)-1)
 	for c := range dep {
 		dep[c] = -1
-		start := c * grain
-		end := start + grain
-		if end > n {
-			end = n
-		}
-		for p := start; p < end; p++ {
+		start := starts[c]
+		for p := start; p < starts[c+1]; p++ {
 			for _, a := range g.Arcs(order[p]) {
-				if tp := pos[a.Head]; int(tp) < start && tp > dep[c] {
+				if tp := pos[a.Head]; tp < start && tp > dep[c] {
 					dep[c] = tp
 				}
 			}
@@ -58,6 +55,30 @@ func identityOrder(n int) []int32 {
 	return o
 }
 
+// packedFor packs a random sweep DAG and returns the stream with the
+// position map ChunkDepBoundsAt wants (nil for the identity layout).
+func packedFor(t *testing.T, g *Graph, order []int32, identity bool) (*Packed, []int32) {
+	t.Helper()
+	if identity {
+		p, err := NewPacked(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, nil
+	}
+	p, err := NewPacked(g, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := make([]int32, len(order))
+	for sp, v := range order {
+		pos[v] = int32(sp)
+	}
+	return p, pos
+}
+
+// TestChunkDepBoundsMatchesBruteForce checks the stream walk over
+// fixed-grain boundaries against the definition recomputed from CSR.
 func TestChunkDepBoundsMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
@@ -68,16 +89,14 @@ func TestChunkDepBoundsMatchesBruteForce(t *testing.T) {
 			order = randomPerm(rng, n)
 		}
 		g := randomSweepDAG(rng, order, rng.Intn(5*n))
+		p, pos := packedFor(t, g, order, identity)
 		for _, grain := range []int{1, 3, 7, 16, n, 2 * n} {
-			var arg []int32
-			if !identity {
-				arg = order
-			}
-			got, err := ChunkDepBounds(g, arg, grain)
+			starts := UniformChunkStarts(n, grain)
+			got, err := p.ChunkDepBoundsAt(pos, starts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := bruteChunkDeps(g, order, grain)
+			want := bruteChunkDeps(g, order, starts)
 			if len(got) != len(want) {
 				t.Fatalf("n=%d grain=%d: %d chunks, want %d", n, grain, len(got), len(want))
 			}
@@ -86,17 +105,19 @@ func TestChunkDepBoundsMatchesBruteForce(t *testing.T) {
 					t.Fatalf("n=%d grain=%d identity=%v: dep[%d]=%d, want %d",
 						n, grain, identity, c, got[c], want[c])
 				}
-				if got[c] >= int32(c*grain) {
-					t.Fatalf("dep[%d]=%d not before chunk start %d", c, got[c], c*grain)
+				if got[c] >= starts[c] {
+					t.Fatalf("dep[%d]=%d not before chunk start %d", c, got[c], starts[c])
 				}
 			}
 		}
 	}
 }
 
-// TestChunkDepBoundsPackedAgrees checks the stream flavor walks its way
-// to the same bounds as the CSR flavor, for both the vertex-word layout
-// (explicit orders) and the identity layout that elides them.
+// TestChunkDepBoundsPackedAgrees checks the stream walk agrees with the
+// CSR definition over byte-budget boundaries too, for both the
+// vertex-word layout (explicit orders) and the identity layout that
+// elides them, and that the byte budget holds for every multi-position
+// chunk.
 func TestChunkDepBoundsPackedAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 30; trial++ {
@@ -107,36 +128,32 @@ func TestChunkDepBoundsPackedAgrees(t *testing.T) {
 			order = randomPerm(rng, n)
 		}
 		g := randomSweepDAG(rng, order, rng.Intn(5*n))
-		var orderArg, pos []int32
-		if !identity {
-			orderArg = order
-			pos = make([]int32, n)
-			for p, v := range order {
-				pos[v] = int32(p)
+		p, pos := packedFor(t, g, order, identity)
+		for _, budget := range []int{1, 40, 256, 1 << 20} {
+			starts := p.ChunkStartsByBytes(budget)
+			if err := ValidChunkStarts(starts, n); err != nil {
+				t.Fatalf("budget %d: %v", budget, err)
 			}
-		}
-		p, err := NewPacked(g, orderArg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, grain := range []int{1, 5, 16, n} {
-			fromCSR, err := ChunkDepBounds(g, orderArg, grain)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fromStream, err := p.ChunkDepBounds(pos, grain)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(fromCSR) != len(fromStream) {
-				t.Fatalf("chunk counts differ: %d vs %d", len(fromCSR), len(fromStream))
-			}
-			for c := range fromCSR {
-				if fromCSR[c] != fromStream[c] {
-					t.Fatalf("n=%d grain=%d identity=%v: CSR dep[%d]=%d, stream %d",
-						n, grain, identity, c, fromCSR[c], fromStream[c])
+			bs := p.BlockStarts()
+			for c := 0; c+1 < len(starts); c++ {
+				if span := 4 * (bs[starts[c+1]] - bs[starts[c]]); span > budget && starts[c+1]-starts[c] > 1 {
+					t.Fatalf("budget %d: chunk %d spans %d bytes over %d positions", budget, c, span, starts[c+1]-starts[c])
 				}
 			}
+			got, err := p.ChunkDepBoundsAt(pos, starts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := bruteChunkDeps(g, order, starts)
+			for c := range want {
+				if got[c] != want[c] {
+					t.Fatalf("n=%d budget=%d identity=%v: stream dep[%d]=%d, CSR %d",
+						n, budget, identity, c, got[c], want[c])
+				}
+			}
+		}
+		if starts := p.ChunkStartsByBytes(1 << 30); len(starts) != 2 {
+			t.Fatalf("unbounded budget produced %d chunks", len(starts)-1)
 		}
 	}
 }
@@ -145,46 +162,67 @@ func TestChunkDepBoundsErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	order := randomPerm(rng, 10)
 	g := randomSweepDAG(rng, order, 30)
+	p, err := NewPacked(g, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := UniformChunkStarts(10, 4)
 
-	if _, err := ChunkDepBounds(g, order, 0); err == nil {
-		t.Error("grain 0 accepted")
+	// The position map must match the stream layout.
+	if _, err := p.ChunkDepBoundsAt(nil, starts); err == nil {
+		t.Error("explicit-vertex stream accepted a nil position map")
 	}
-	if _, err := ChunkDepBounds(g, order[:5], 4); err == nil {
-		t.Error("short order accepted")
+	if _, err := p.ChunkDepBoundsAt(make([]int32, 5), starts); err == nil {
+		t.Error("short position map accepted")
 	}
-	bad := append([]int32(nil), order...)
-	bad[3] = 99
-	if _, err := ChunkDepBounds(g, bad, 4); err == nil {
-		t.Error("out-of-range order vertex accepted")
+	// Malformed boundary lists.
+	for _, bad := range [][]int32{nil, {0}, {1, 10}, {0, 5}, {0, 5, 5, 10}, {0, 6, 4, 10}} {
+		if _, err := p.ChunkDepBoundsAt(make([]int32, 10), bad); err == nil {
+			t.Errorf("chunk starts %v accepted", bad)
+		}
 	}
 
 	// A forward arc breaks the reverse-topological property.
 	b := NewBuilder(4)
 	b.MustAddArc(1, 2, 5)
-	fwd := b.Build()
-	if _, err := ChunkDepBounds(fwd, nil, 2); err == nil {
-		t.Error("non-topological identity graph accepted")
-	}
-	pf, err := NewPacked(fwd, nil)
+	pf, err := NewPacked(b.Build(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pf.ChunkDepBounds(nil, 2); err == nil {
+	if _, err := pf.ChunkDepBoundsAt(nil, UniformChunkStarts(4, 2)); err == nil {
 		t.Error("non-topological packed stream accepted")
 	}
+}
 
-	// Packed flavor: the position map must match the stream layout.
-	p, err := NewPacked(g, order)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.ChunkDepBounds(nil, 4); err == nil {
-		t.Error("explicit-vertex stream accepted a nil position map")
-	}
-	if _, err := p.ChunkDepBounds(make([]int32, 5), 4); err == nil {
-		t.Error("short position map accepted")
-	}
-	if _, err := p.ChunkDepBounds(make([]int32, 10), 0); err == nil {
-		t.Error("packed grain 0 accepted")
+// TestUniformChunkStartsMatchesFixedGrain pins the variable-boundary
+// representation of a fixed grain: boundaries at multiples of grain,
+// ending at n, and dependency bounds equal to the fixed-grain
+// definition.
+func TestUniformChunkStartsMatchesFixedGrain(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	const n = 300
+	order := identityOrder(n)
+	g := randomSweepDAG(rng, order, 1200)
+	p, pos := packedFor(t, g, order, true)
+	for _, grain := range []int{1, 7, 64, 1024} {
+		starts := UniformChunkStarts(n, grain)
+		if want := (n + grain - 1) / grain; len(starts)-1 != want || starts[len(starts)-1] != n {
+			t.Fatalf("grain %d: %d chunks ending at %d, want %d ending at %d", grain, len(starts)-1, starts[len(starts)-1], want, n)
+		}
+		for c := 1; c+1 < len(starts); c++ {
+			if starts[c] != int32(c*grain) {
+				t.Fatalf("grain %d: chunk %d starts at %d, want %d", grain, c, starts[c], c*grain)
+			}
+		}
+		got, err := p.ChunkDepBoundsAt(pos, starts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bruteChunkDeps(g, order, starts)
+		for c := range want {
+			if got[c] != want[c] {
+				t.Fatalf("grain %d chunk %d: dep %d, want %d", grain, c, got[c], want[c])
+			}
+		}
 	}
 }

@@ -276,119 +276,16 @@ func PackedStream(p *graph.Packed, g *graph.Graph, order []int32) error {
 	return nil
 }
 
-// PackedZStream validates the compressed sweep stream against the CSR
-// graph and sweep order it was built from: dimensions match, the
-// byte-offset block index partitions the stream, and the delta+varint
-// grammar round-trips to exactly the original adjacency (Unpack walks
-// the stream re-checking every header, delta range, and width escape,
-// so corrupt bytes surface as decode errors here).
-func PackedZStream(z *graph.PackedZ, g *graph.Graph, order []int32) error {
-	if z.NumVertices() != g.NumVertices() || z.NumArcs() != g.NumArcs() {
-		return fmt.Errorf("invariant: packedz dims %d/%d, graph %d/%d",
-			z.NumVertices(), z.NumArcs(), g.NumVertices(), g.NumArcs())
-	}
-	if z.ExplicitVertex() != (order != nil) {
-		return fmt.Errorf("invariant: packedz explicit-vertex flag %v but order nil=%v",
-			z.ExplicitVertex(), order == nil)
-	}
-	n := z.NumVertices()
-	bs := z.BlockStarts()
-	if len(bs) != n+1 {
-		return fmt.Errorf("invariant: packedz block index has %d entries, want %d", len(bs), n+1)
-	}
-	if n > 0 && (bs[0] != 0 || bs[n] != z.ByteLen()) {
-		return fmt.Errorf("invariant: packedz block index spans [%d,%d], want [0,%d]", bs[0], bs[n], z.ByteLen())
-	}
-	for pos := 0; pos < n; pos++ {
-		if bs[pos+1] <= bs[pos] {
-			return fmt.Errorf("invariant: packedz block index not increasing at position %d", pos)
-		}
-	}
-	ug, uorder, err := z.Unpack()
-	if err != nil {
-		return fmt.Errorf("invariant: packedz stream malformed: %w", err)
-	}
-	if !ug.Equal(g) {
-		return fmt.Errorf("invariant: packedz stream does not round-trip to its CSR graph")
-	}
-	for i := range order {
-		if uorder[i] != order[i] {
-			return fmt.Errorf("invariant: packedz vertex word at position %d is %d, order says %d",
-				i, uorder[i], order[i])
-		}
-	}
-	return nil
-}
-
-// ChunkDeps validates the persistent scheduler's per-chunk dependency
+// ChunkDepsAt validates the persistent scheduler's per-chunk dependency
 // thresholds against an independent recompute from the downward CSR
-// graph and the sweep order. chunkDep[c] is a chunk index: the chunk
-// holding the highest-positioned external predecessor of any vertex in
-// chunk c (or -1 when every predecessor is internal). Along the way it
-// re-proves the property the scheduler's correctness rests on: the
-// sweep order is topological for the downward graph, so every incoming
-// arc's tail sits at a strictly earlier position.
-func ChunkDeps(g *graph.Graph, order []int32, grain int, chunkDep []int32) error {
-	n := g.NumVertices()
-	if grain <= 0 {
-		return fmt.Errorf("invariant: chunk grain %d, want > 0", grain)
-	}
-	wantChunks := (n + grain - 1) / grain
-	if len(chunkDep) != wantChunks {
-		return fmt.Errorf("invariant: %d chunk dep bounds for %d chunks", len(chunkDep), wantChunks)
-	}
-	var pos []int32
-	if order != nil {
-		pos = make([]int32, n)
-		for p, v := range order {
-			pos[v] = int32(p)
-		}
-	}
-	for c := 0; c < wantChunks; c++ {
-		start := c * grain
-		end := start + grain
-		if end > n {
-			end = n
-		}
-		bound := int32(-1)
-		for p := start; p < end; p++ {
-			v := int32(p)
-			if order != nil {
-				v = order[p]
-			}
-			for _, a := range g.Arcs(v) {
-				tp := a.Head
-				if pos != nil {
-					tp = pos[a.Head]
-				}
-				if int(tp) >= p {
-					return fmt.Errorf("invariant: sweep order not topological: position %d depends on position %d", p, tp)
-				}
-				if int(tp) < start && tp > bound {
-					bound = tp
-				}
-			}
-		}
-		want := int32(-1)
-		if bound >= 0 {
-			want = bound / int32(grain)
-		}
-		if chunkDep[c] != want {
-			return fmt.Errorf("invariant: chunkDep[%d] = %d, recompute says %d", c, chunkDep[c], want)
-		}
-		if chunkDep[c] >= int32(c) {
-			return fmt.Errorf("invariant: chunkDep[%d] = %d not strictly below its own chunk", c, chunkDep[c])
-		}
-	}
-	return nil
-}
-
-// ChunkDepsAt is ChunkDeps for variable chunk boundaries: chunkStart
-// (length numChunks+1, spanning [0,n), strictly increasing) replaces
-// the uniform grain, and chunkDep[c] must be the chunk containing the
-// highest-positioned external predecessor of chunk c (or -1). This is
-// the shape the cache-budget chunking produces; uniform grains are the
-// special case chunkStart = 0, grain, 2·grain, …
+// graph and the sweep order. chunkStart (length numChunks+1, spanning
+// [0,n), strictly increasing) lists the chunk boundaries, and
+// chunkDep[c] must be the chunk containing the highest-positioned
+// external predecessor of any vertex in chunk c (or -1 when every
+// predecessor is internal). Along the way it re-proves the property the
+// scheduler's correctness rests on: the sweep order is topological for
+// the downward graph, so every incoming arc's tail sits at a strictly
+// earlier position.
 func ChunkDepsAt(g *graph.Graph, order []int32, chunkStart []int32, chunkDep []int32) error {
 	n := g.NumVertices()
 	numChunks := len(chunkStart) - 1
