@@ -1,7 +1,9 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation (Section VIII) on synthetic instances and prints them in
-// the paper's layout. See EXPERIMENTS.md for recorded paper-vs-measured
-// comparisons.
+// the paper's layout. The chbuild, sched, customize and snapshot
+// experiments also evaluate regression gates; the command exits 1 if
+// any gate fails (after writing -out). See EXPERIMENTS.md for recorded
+// paper-vs-measured comparisons.
 //
 // Usage:
 //
@@ -9,9 +11,12 @@
 //	experiments -run table1,table3     run selected experiments
 //	experiments -preset europe-m -sources 10
 //	experiments -list                  list experiment IDs
+//	experiments -preset europe-m -run chbuild,sched,customize,snapshot -quiet -out BENCH_gates.json
+//	                                    the CI gates, recorded as JSON
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -33,7 +38,7 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 		quiet    = flag.Bool("quiet", false, "suppress progress output")
 		svgDir   = flag.String("svg", "", "directory for SVG figures (fig1, scaling)")
-		mdOut    = flag.String("markdown", "", "also write the tables as a markdown report to this file")
+		out      = flag.String("out", "", "also write the run (environment, config, tables, gates) as JSON to this file")
 	)
 	flag.Parse()
 	if *list {
@@ -79,11 +84,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	var md strings.Builder
-	if *mdOut != "" {
-		fmt.Fprintf(&md, "# PHAST experiment report\n\ninstance: %s (%s), sources=%d, seed=%d\n\n",
-			*preset, *metric, *sources, *seed)
-	}
+	rec := exp.NewRecord(env, *run)
+	var failed []string
 	ran := 0
 	for _, r := range exp.Suite() {
 		if len(selected) > 0 && !selected[r.ID] {
@@ -98,21 +100,28 @@ func main() {
 		}
 		for _, tbl := range tables {
 			fmt.Println(tbl.String())
-			if *mdOut != "" {
-				md.WriteString(tbl.Markdown())
+			for _, g := range tbl.Gates {
+				if g.Failed() {
+					failed = append(failed, g.Name)
+				}
 			}
 		}
+		rec.Tables = append(rec.Tables, tables...)
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "  [exp] %s finished in %v\n", r.ID, time.Since(t0).Round(time.Millisecond))
 		}
 	}
-	if *mdOut != "" {
-		if err := os.WriteFile(*mdOut, []byte(md.String()), 0o644); err != nil {
+	if *out != "" {
+		buf, err := json.MarshalIndent(rec, "", "  ")
+		if err == nil {
+			err = os.WriteFile(*out, append(buf, '\n'), 0o644)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
 		if !*quiet {
-			fmt.Fprintf(os.Stderr, "  [exp] markdown report written to %s\n", *mdOut)
+			fmt.Fprintf(os.Stderr, "  [exp] record written to %s\n", *out)
 		}
 	}
 	if ran == 0 {
@@ -121,5 +130,9 @@ func main() {
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "  [exp] suite finished in %v\n", time.Since(start).Round(time.Millisecond))
+	}
+	if len(failed) > 0 {
+		fmt.Fprintf(os.Stderr, "experiments: failed gates: %s\n", strings.Join(failed, ", "))
+		os.Exit(1)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"phast/internal/ch"
 	"phast/internal/core"
 	"phast/internal/graph"
+	"phast/internal/layout"
 	"phast/internal/machine"
 	"phast/internal/roadnet"
 )
@@ -63,10 +64,42 @@ type Env struct {
 	Net     *roadnet.Network
 	G       *graph.Graph // input layout (as generated)
 	H       *ch.Hierarchy
-	CHTime  time.Duration
 	Sources []int32
 	Ref     machine.Spec
 	rng     *rand.Rand
+	dfs     *DFSView
+}
+
+// DFSView is the instance renumbered in DFS order from vertex 0 — the
+// paper's locality layout, and the one every gate measures on.
+type DFSView struct {
+	Perm []int32 // Perm[v] is input vertex v's DFS ID
+	G    *graph.Graph
+	H    *ch.Hierarchy // the env's hierarchy, permuted (not rebuilt)
+}
+
+// DFS returns the DFS view of the instance, computing it on first use.
+func (e *Env) DFS() (*DFSView, error) {
+	if e.dfs != nil {
+		return e.dfs, nil
+	}
+	perm, g, err := dfsLayout(e.G)
+	if err != nil {
+		return nil, err
+	}
+	h, err := e.H.Permute(perm)
+	if err != nil {
+		return nil, err
+	}
+	e.dfs = &DFSView{Perm: perm, G: g, H: h}
+	return e.dfs, nil
+}
+
+// dfsLayout renumbers g in DFS order from vertex 0.
+func dfsLayout(g *graph.Graph) ([]int32, *graph.Graph, error) {
+	perm := layout.DFS(g, 0)
+	pg, err := g.Permute(perm)
+	return perm, pg, err
 }
 
 // NewEnv generates the instance and runs CH preprocessing once.
@@ -82,9 +115,8 @@ func NewEnv(cfg Config) (*Env, error) {
 	e.logf("instance %s (%s): n=%d m=%d", cfg.Preset, cfg.Metric, e.G.NumVertices(), e.G.NumArcs())
 	start := time.Now()
 	e.H = ch.Build(e.G, ch.Options{})
-	e.CHTime = time.Since(start)
 	e.logf("CH preprocessing: %v, %d shortcuts, %d levels",
-		e.CHTime, e.H.NumShortcuts, e.H.MaxLevel+1)
+		time.Since(start), e.H.NumShortcuts, e.H.MaxLevel+1)
 	e.Sources = make([]int32, cfg.Sources)
 	for i := range e.Sources {
 		e.Sources[i] = int32(e.rng.Intn(e.G.NumVertices()))
@@ -105,11 +137,7 @@ func (e *Env) Engine(mode core.SweepMode, workers int) (*core.Engine, error) {
 
 // perTree times fn once per source and returns the mean duration.
 func (e *Env) perTree(fn func(s int32)) time.Duration {
-	start := time.Now()
-	for _, s := range e.Sources {
-		fn(s)
-	}
-	return time.Since(start) / time.Duration(len(e.Sources))
+	return perTreeOver(e.Sources, fn)
 }
 
 // randSources draws k sources deterministically from the env's stream.

@@ -2,11 +2,46 @@ package exp
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"phast/internal/roadnet"
 )
+
+var suiteRuns struct {
+	sync.Mutex
+	env    *Env
+	tables map[string][]*Table
+}
+
+// suiteTables runs experiment id once per test binary on a shared
+// tinyEnv and returns its tables, so the suite smoke test and the gate
+// checks share the slow benchmark-timed runners.
+func suiteTables(t *testing.T, id string) []*Table {
+	t.Helper()
+	suiteRuns.Lock()
+	defer suiteRuns.Unlock()
+	if tables, ok := suiteRuns.tables[id]; ok {
+		return tables
+	}
+	if suiteRuns.env == nil {
+		suiteRuns.env = tinyEnv(t)
+		suiteRuns.tables = map[string][]*Table{}
+	}
+	for _, r := range Suite() {
+		if r.ID == id {
+			tables, err := r.Run(suiteRuns.env)
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			suiteRuns.tables[id] = tables
+			return tables
+		}
+	}
+	t.Fatalf("no experiment %q", id)
+	return nil
+}
 
 func tinyEnv(t *testing.T) *Env {
 	t.Helper()
@@ -26,14 +61,10 @@ func TestSuiteRunsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in -short mode")
 	}
-	e := tinyEnv(t)
 	for _, r := range Suite() {
 		r := r
 		t.Run(r.ID, func(t *testing.T) {
-			tables, err := r.Run(e)
-			if err != nil {
-				t.Fatalf("%s: %v", r.ID, err)
-			}
+			tables := suiteTables(t, r.ID)
 			if len(tables) == 0 {
 				t.Fatalf("%s produced no tables", r.ID)
 			}
@@ -72,26 +103,11 @@ func TestTableFormatting(t *testing.T) {
 	tbl.AddRow("x", "1")
 	tbl.AddRow("longer", "2")
 	tbl.AddNote("n=%d", 5)
+	tbl.Gates = []Gate{ratioGate("g", 1, false, []float64{2}, []float64{1})}
 	out := tbl.String()
-	for _, want := range []string{"demo", "longer", "bbbb", "note: n=5"} {
+	for _, want := range []string{"demo", "longer", "bbbb", "note: n=5", "gate: g = 2 ≤ 1: FAIL"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestTableMarkdown(t *testing.T) {
-	tbl := &Table{
-		ID:      "t1",
-		Title:   "demo",
-		Headers: []string{"a", "b"},
-	}
-	tbl.AddRow("x|y", "1")
-	tbl.AddNote("careful | pipes")
-	out := tbl.Markdown()
-	for _, want := range []string{"### T1 — demo", "| a | b |", "|---|---|", `x\|y`, `*careful \| pipes*`} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("markdown missing %q:\n%s", want, out)
 		}
 	}
 }

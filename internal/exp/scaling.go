@@ -8,7 +8,6 @@ import (
 	"phast/internal/ch"
 	"phast/internal/core"
 	"phast/internal/gphast"
-	"phast/internal/layout"
 	"phast/internal/pq"
 	"phast/internal/roadnet"
 	"phast/internal/simt"
@@ -40,7 +39,7 @@ func Scaling(e *Env) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		g, err := net.Graph.Permute(layout.DFS(net.Graph, 0))
+		_, g, err := dfsLayout(net.Graph)
 		if err != nil {
 			return nil, err
 		}

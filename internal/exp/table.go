@@ -1,8 +1,9 @@
 // Package exp is the experiment harness: one driver per table and figure
 // of the paper's evaluation (Section VIII), each reproducing the same
-// rows and columns on synthetic instances. cmd/experiments runs the
-// drivers and prints the tables; the root bench_test.go exercises the
-// same code paths under `go test -bench`.
+// rows and columns on synthetic instances. Some drivers also attach
+// regression gates to their tables. cmd/experiments runs the drivers,
+// prints the tables and writes them as one JSON Record; the root
+// bench_test.go exercises the same code paths under `go test -bench`.
 package exp
 
 import (
@@ -11,13 +12,15 @@ import (
 	"time"
 )
 
-// Table is one reproduced table or figure.
+// Table is one reproduced table or figure, with the gates (if any)
+// computed from the same measurements.
 type Table struct {
-	ID      string // "fig1", "table1", ...
-	Title   string
-	Headers []string
-	Rows    [][]string
-	Notes   []string
+	ID      string     `json:"id"` // "fig1", "table1", ...
+	Title   string     `json:"title"`
+	Headers []string   `json:"headers"`
+	Rows    [][]string `json:"rows"`
+	Notes   []string   `json:"notes,omitempty"`
+	Gates   []Gate     `json:"gates,omitempty"`
 }
 
 // AddRow appends a row of already-formatted cells.
@@ -69,35 +72,20 @@ func (t *Table) String() string {
 	for _, n := range t.Notes {
 		fmt.Fprintf(&sb, "note: %s\n", n)
 	}
-	return sb.String()
-}
-
-// Markdown renders the table as GitHub-flavored markdown, for the
-// -markdown report of cmd/experiments.
-func (t *Table) Markdown() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "### %s — %s\n\n", strings.ToUpper(t.ID), t.Title)
-	esc := func(s string) string { return strings.ReplaceAll(s, "|", "\\|") }
-	sb.WriteString("|")
-	for _, h := range t.Headers {
-		sb.WriteString(" " + esc(h) + " |")
-	}
-	sb.WriteString("\n|")
-	for range t.Headers {
-		sb.WriteString("---|")
-	}
-	sb.WriteString("\n")
-	for _, row := range t.Rows {
-		sb.WriteString("|")
-		for _, c := range row {
-			sb.WriteString(" " + esc(c) + " |")
+	for _, g := range t.Gates {
+		op, verdict := "≤", "pass"
+		if g.Higher {
+			op = "≥"
 		}
-		sb.WriteString("\n")
+		switch {
+		case g.Skipped:
+			verdict = "skipped"
+		case !g.Pass:
+			verdict = "FAIL"
+		}
+		fmt.Fprintf(&sb, "gate: %s = %.4g %s %g: %s (min of %d/%d rounds; medians %.4g/%.4g)\n",
+			g.Name, g.Value, op, g.Bound, verdict, g.Num.N, g.Den.N, g.Num.Median, g.Den.Median)
 	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&sb, "\n*%s*\n", esc(n))
-	}
-	sb.WriteString("\n")
 	return sb.String()
 }
 

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"phast/internal/core"
-	"phast/internal/layout"
 	"phast/internal/machine"
 	"phast/internal/pq"
 	"phast/internal/sssp"
@@ -17,19 +16,15 @@ import (
 // reproduction; see DESIGN.md).
 func Table5(e *Env) ([]*Table, error) {
 	// Measure the anchors on the DFS layout (the paper's convention).
-	perm := layout.DFS(e.G, 0)
-	g, err := e.G.Permute(perm)
+	v, err := e.DFS()
 	if err != nil {
 		return nil, err
 	}
-	h, err := e.H.Permute(perm)
-	if err != nil {
-		return nil, err
-	}
-	d := sssp.NewDijkstra(g, pq.KindDial)
+	perm := v.Perm
+	d := sssp.NewDijkstra(v.G, pq.KindDial)
 	d.Run(0)
 	dijkstraSingle := e.perTree(func(s int32) { d.Run(perm[s]) })
-	eng, err := core.NewEngine(h, core.Options{Workers: 1})
+	eng, err := core.NewEngine(v.H, core.Options{Workers: 1})
 	if err != nil {
 		return nil, err
 	}

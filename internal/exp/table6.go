@@ -5,7 +5,6 @@ import (
 
 	"phast/internal/core"
 	"phast/internal/gphast"
-	"phast/internal/layout"
 	"phast/internal/machine"
 	"phast/internal/pq"
 	"phast/internal/simt"
@@ -19,15 +18,11 @@ import (
 // model; GPU rows use the SIMT cost model for both cards.
 func Table6(e *Env) ([]*Table, error) {
 	n := e.G.NumVertices()
-	perm := layout.DFS(e.G, 0)
-	g, err := e.G.Permute(perm)
+	v, err := e.DFS()
 	if err != nil {
 		return nil, err
 	}
-	h, err := e.H.Permute(perm)
-	if err != nil {
-		return nil, err
-	}
+	perm, g, h := v.Perm, v.G, v.H
 
 	// Anchors: best Dijkstra (Dial, one tree per core) and best PHAST (16
 	// trees per sweep per core, lanes) on this host.

@@ -7,7 +7,6 @@ import (
 	"phast/internal/ch"
 	"phast/internal/core"
 	"phast/internal/gphast"
-	"phast/internal/layout"
 	"phast/internal/pq"
 	"phast/internal/roadnet"
 	"phast/internal/simt"
@@ -42,8 +41,7 @@ func Table7(e *Env) ([]*Table, error) {
 			}
 			g := net.Graph
 			n := g.NumVertices()
-			perm := layout.DFS(g, 0)
-			gd, err := g.Permute(perm)
+			_, gd, err := dfsLayout(g)
 			if err != nil {
 				return nil, err
 			}
@@ -93,6 +91,7 @@ func Table7(e *Env) ([]*Table, error) {
 	return []*Table{t, info}, nil
 }
 
+// perTreeOver times fn once per source and returns the mean duration.
 func perTreeOver(sources []int32, fn func(int32)) time.Duration {
 	start := time.Now()
 	for _, s := range sources {

@@ -161,3 +161,22 @@ func clampChunkBytes(b int) int {
 	}
 	return b
 }
+
+// CPUModel returns the running machine's processor name as the kernel
+// reports it (the first "model name" line of /proc/cpuinfo), or "" when
+// it cannot be read. Measurement records carry it so numbers from
+// different hosts are never compared unknowingly.
+func CPUModel() string {
+	b, _ := os.ReadFile("/proc/cpuinfo") // unreadable parses as unknown
+	return parseCPUModel(string(b))
+}
+
+func parseCPUModel(cpuinfo string) string {
+	for _, line := range strings.Split(cpuinfo, "\n") {
+		key, val, ok := strings.Cut(line, ":")
+		if ok && strings.TrimSpace(key) == "model name" {
+			return strings.TrimSpace(val)
+		}
+	}
+	return ""
+}

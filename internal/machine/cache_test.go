@@ -103,3 +103,13 @@ func TestSweepChunkBytesRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+func TestParseCPUModel(t *testing.T) {
+	info := "processor\t: 0\nvendor_id\t: GenuineIntel\nmodel name\t: Example CPU @ 2.00GHz\n\nprocessor\t: 1\nmodel name\t: Other\n"
+	if got := parseCPUModel(info); got != "Example CPU @ 2.00GHz" {
+		t.Fatalf("parseCPUModel = %q", got)
+	}
+	if got := parseCPUModel("processor\t: 0\n"); got != "" {
+		t.Fatalf("parseCPUModel without a model line = %q, want empty", got)
+	}
+}
