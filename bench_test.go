@@ -7,7 +7,6 @@
 package phast_test
 
 import (
-	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
@@ -449,22 +448,6 @@ func BenchmarkGPHAST_Fleet2(b *testing.B) {
 			{f.src(i + 4), f.src(i + 5), f.src(i + 6), f.src(i + 7)},
 		})
 	}
-}
-
-func BenchmarkHierarchySerialization(b *testing.B) {
-	f := getFixture(b)
-	var buf bytes.Buffer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := ch.WriteHierarchy(&buf, f.h); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ch.ReadHierarchy(bytes.NewReader(buf.Bytes())); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(buf.Len()))
 }
 
 // ---- Ablation: the priority function's level term ----------------------

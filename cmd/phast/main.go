@@ -7,12 +7,13 @@
 //	phast -graph europe.gr -query 17:42         point-to-point distance
 //	phast -preset usa-s -trees 100              time 100 random trees
 //	phast -preset europe-s -info                instance + hierarchy info
-//	phast -preset europe-m -save-ch europe.ch   cache preprocessing
-//	phast -load-ch europe.ch -trees 1000        reuse it
+//	phast -preset europe-m -save-snapshot eu.snap
+//	                                            cache the preprocessed engine
+//	phast -load-snapshot eu.snap -trees 1000    map it back and reuse it
 //	phast -preset europe-s -replay q.txt        serve a query file through
 //	                                            the batching tree server
 //
-// One of -graph, -preset or -load-ch selects the instance; -source,
+// One of -graph, -preset or -load-snapshot selects the instance; -source,
 // -query, -trees, -replay and -info select the work (combinable).
 // A -replay file holds one source vertex per line ('#' starts a
 // comment); -clients and -batch shape the concurrent server load.
@@ -37,8 +38,8 @@ type config struct {
 	graphPath string
 	preset    string
 	metric    string
-	loadCH    string
-	saveCH    string
+	loadSnap  string
+	saveSnap  string
 	source    int
 	query     string
 	trees     int
@@ -55,8 +56,8 @@ func main() {
 	flag.StringVar(&c.graphPath, "graph", "", "DIMACS .gr file to load")
 	flag.StringVar(&c.preset, "preset", "", "synthetic instance preset (europe-xs..usa-l)")
 	flag.StringVar(&c.metric, "metric", "time", "weight metric for -preset: time or distance")
-	flag.StringVar(&c.loadCH, "load-ch", "", "load a cached hierarchy instead of preprocessing")
-	flag.StringVar(&c.saveCH, "save-ch", "", "save the hierarchy after preprocessing")
+	flag.StringVar(&c.loadSnap, "load-snapshot", "", "map a saved engine snapshot instead of preprocessing")
+	flag.StringVar(&c.saveSnap, "save-snapshot", "", "save an engine snapshot after preprocessing")
 	flag.IntVar(&c.source, "source", -1, "compute one shortest-path tree from this vertex")
 	flag.StringVar(&c.query, "query", "", "point-to-point query s:t")
 	flag.IntVar(&c.trees, "trees", 0, "time this many random trees")
@@ -79,19 +80,11 @@ func run(c config) error {
 		return err
 	}
 	g := eng.Graph()
-	if c.saveCH != "" {
-		f, err := os.Create(c.saveCH)
-		if err != nil {
+	if c.saveSnap != "" {
+		if err := eng.SaveSnapshotFile(c.saveSnap); err != nil {
 			return err
 		}
-		if err := eng.SaveHierarchy(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("saved hierarchy to %s\n", c.saveCH)
+		fmt.Printf("saved snapshot to %s\n", c.saveSnap)
 	}
 	if c.info {
 		sizes := eng.LevelSizes()
@@ -251,23 +244,17 @@ func readQueryFile(path string, n int) ([]int32, error) {
 }
 
 func buildEngine(c config) (*phast.Engine, error) {
-	if c.loadCH != "" {
+	if c.loadSnap != "" {
 		if c.graphPath != "" || c.preset != "" {
-			return nil, fmt.Errorf("-load-ch replaces -graph/-preset")
+			return nil, fmt.Errorf("-load-snapshot replaces -graph/-preset")
 		}
-		f, err := os.Open(c.loadCH)
+		eng, err := phast.LoadSnapshot(c.loadSnap, nil)
 		if err != nil {
 			return nil, err
 		}
-		defer f.Close()
-		start := time.Now()
-		eng, err := phast.LoadEngine(f, nil)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Printf("loaded hierarchy: %d vertices, %d shortcuts, %d levels (%v)\n",
+		fmt.Printf("loaded snapshot: %d vertices, %d shortcuts, %d levels (%v)\n",
 			eng.NumVertices(), eng.NumShortcuts(), eng.NumLevels(),
-			time.Since(start).Round(time.Millisecond))
+			eng.ColdStart().Round(time.Millisecond))
 		return eng, nil
 	}
 	g, err := loadGraph(c.graphPath, c.preset, c.metric)
@@ -311,7 +298,7 @@ func loadGraph(graphPath, preset, metric string) (*phast.Graph, error) {
 		}
 		return net.Graph, nil
 	default:
-		return nil, fmt.Errorf("one of -graph, -preset or -load-ch is required")
+		return nil, fmt.Errorf("one of -graph, -preset or -load-snapshot is required")
 	}
 }
 

@@ -79,18 +79,18 @@ func TestRunEndToEnd(t *testing.T) {
 
 func TestSaveLoadHierarchyCLI(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "x.ch")
-	if err := run(config{preset: "europe-xs", metric: "time", saveCH: path}); err != nil {
+	path := filepath.Join(dir, "x.snap")
+	if err := run(config{preset: "europe-xs", metric: "time", saveSnap: path}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(config{loadCH: path, source: 5, query: "2:9", seed: 1}); err != nil {
+	if err := run(config{loadSnap: path, source: 5, query: "2:9", seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(config{loadCH: path, preset: "europe-xs"}); err == nil {
-		t.Fatal("-load-ch with -preset accepted")
+	if err := run(config{loadSnap: path, preset: "europe-xs"}); err == nil {
+		t.Fatal("-load-snapshot with -preset accepted")
 	}
-	if err := run(config{loadCH: filepath.Join(dir, "missing.ch")}); err == nil {
-		t.Fatal("missing hierarchy file accepted")
+	if err := run(config{loadSnap: filepath.Join(dir, "missing.snap")}); err == nil {
+		t.Fatal("missing snapshot file accepted")
 	}
 }
 

@@ -138,9 +138,9 @@ func TestCustomizeFacade(t *testing.T) {
 	def.Release()
 }
 
-// TestCustomizedHierarchyRoundTrip pins that a customized hierarchy's
-// metric identity survives Save/Load and keeps answering for the
-// customized weights.
+// TestCustomizedHierarchyRoundTrip pins that a customized engine's
+// metric identity survives a snapshot round trip and keeps answering
+// for the customized weights.
 func TestCustomizedHierarchyRoundTrip(t *testing.T) {
 	net := testNetwork(t)
 	g := net.Graph
@@ -157,10 +157,10 @@ func TestCustomizedHierarchyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := truck.SaveHierarchy(&buf); err != nil {
+	if err := truck.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := phast.LoadEngine(&buf, nil)
+	back, err := phast.ReadSnapshot(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package phast
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
 
 	"phast/internal/ch"
@@ -22,23 +21,12 @@ type Options struct {
 	// SweepMode overrides the sweep order; the default is the fully
 	// reordered layout of Section IV-A. Exposed for experiments.
 	SweepMode SweepMode
-	// ParallelGrain pins the scheduler chunk size in sweep positions.
-	// 0 (the default) sizes chunks by a byte budget instead: the stream
-	// bytes each chunk spans stay within ChunkBytes, so a chunk's
-	// working set fits in cache regardless of arc density.
-	ParallelGrain int
-	// ChunkBytes is the per-chunk stream-byte budget used when
-	// ParallelGrain is 0; 0 detects the machine's L2 cache and budgets
-	// half of it (see internal/machine; PHAST_CHUNK_BYTES overrides).
-	ChunkBytes int
 }
 
 func (o *Options) coreOptions() core.Options {
 	return core.Options{
-		Mode:          o.SweepMode,
-		Workers:       o.SweepWorkers,
-		ParallelGrain: o.ParallelGrain,
-		ChunkBytes:    o.ChunkBytes,
+		Mode:    o.SweepMode,
+		Workers: o.SweepWorkers,
 	}
 }
 
@@ -176,32 +164,6 @@ func (e *Engine) MetricEpoch() int64 { return e.h.MetricEpoch }
 // the reference metric.
 func (e *Engine) MetricName() string { return e.h.MetricName }
 
-// SaveHierarchy serializes the preprocessed contraction hierarchy
-// (including the graph) so Preprocess never has to run twice for the
-// same input; reload with LoadEngine.
-func (e *Engine) SaveHierarchy(w io.Writer) error {
-	return ch.WriteHierarchy(w, e.h)
-}
-
-// LoadEngine reconstructs an engine from a hierarchy serialized with
-// SaveHierarchy, skipping preprocessing entirely. opt may be nil
-// (CHWorkers is ignored — the hierarchy already exists).
-func LoadEngine(r io.Reader, opt *Options) (*Engine, error) {
-	if opt == nil {
-		opt = &Options{}
-	}
-	copt := opt.coreOptions()
-	h, err := ch.ReadHierarchy(r)
-	if err != nil {
-		return nil, err
-	}
-	c, err := core.NewEngine(h, copt)
-	if err != nil {
-		return nil, fmt.Errorf("phast: %w", err)
-	}
-	return &Engine{g: h.G, h: h, core: c, query: ch.NewQuery(h)}, nil
-}
-
 // Clone returns an engine sharing all preprocessed data but owning
 // private per-query buffers, for concurrent use from another goroutine.
 func (e *Engine) Clone() *Engine {
@@ -211,7 +173,7 @@ func (e *Engine) Clone() *Engine {
 
 // BuildStats returns the preprocessing counters recorded when this
 // engine was built with Preprocess: contraction batch sizes, witness
-// searches, and per-phase wall time. Engines restored with LoadEngine
+// searches, and per-phase wall time. Engines restored from a snapshot
 // (no preprocessing ran) report the zero value.
 func (e *Engine) BuildStats() BuildStats { return e.buildStats }
 
@@ -362,8 +324,9 @@ func (e *Engine) CopyDistances(buf []uint32) { e.core.CopyDistances(buf) }
 // (Section IV-B batching × Section V parallelism). See Engine.Serve.
 type TreeServer = server.TreeServer
 
-// TreeResult is one tree computed by a TreeServer; its distance buffer
-// is a private pooled copy (call Release when done).
+// TreeResult is one tree computed by a TreeServer or gathered by a
+// ShardedServer; its distance buffer is a private pooled copy (call
+// Release when done).
 type TreeResult = server.TreeResult
 
 // ServeOptions configures Engine.Serve; the zero value selects the
@@ -424,9 +387,6 @@ func (e *Engine) Serve(opt *ServeOptions) (*TreeServer, error) {
 // monolithic sweep. Built for fleets of processes mapping one engine
 // snapshot (see LoadSnapshot), where each process owns a few cells.
 type ShardedServer = server.Sharded
-
-// ShardedResult is one full tree gathered by a ShardedServer.
-type ShardedResult = server.ShardedResult
 
 // ShardedServeOptions configures Engine.ServeSharded (shard count K,
 // partition seed, per-shard queue bound).

@@ -10,90 +10,6 @@ import (
 	"phast/internal/sssp"
 )
 
-// FuzzHierarchyRoundTrip drives ReadHierarchy with arbitrary bytes. The
-// contract: it must never panic (and never allocate proportionally to a
-// forged length header), and anything it accepts must serialize back
-// and reload to an identical hierarchy — the same lossless round trip
-// TestHierarchyRoundTrip pins for well-formed input.
-func FuzzHierarchyRoundTrip(f *testing.F) {
-	// Seed with a genuine serialized hierarchy plus targeted mutations of
-	// it; testdata/fuzz/FuzzHierarchyRoundTrip holds checked-in seeds.
-	rng := rand.New(rand.NewSource(84))
-	h := Build(gridGraph(rng, 5, 4, 10), Options{Workers: 1})
-	h.MetricEpoch = 0x1_0000_002A // straddles both words of the epoch pair
-	h.MetricName = "truck"
-	var buf bytes.Buffer
-	if err := WriteHierarchy(&buf, h); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add([]byte{})
-	f.Add(valid[:8])                                    // magic+version, then truncated
-	f.Add(append([]byte(nil), valid[:len(valid)-3]...)) // torn tail
-	flip := append([]byte(nil), valid...)
-	flip[41] ^= 0xFF // corrupt the rank array's length word (after the 21-byte metric block)
-	f.Add(flip)
-	huge := append([]byte(nil), valid...)
-	huge[8], huge[9], huge[10], huge[11] = 0xFF, 0xFF, 0xFF, 0x7F // forged n
-	f.Add(huge)
-	// Metric-block mutations: a forged arc count (must be rejected once
-	// the graph is read) and a forged name length (must be bounds-checked,
-	// never a large allocation). The v2 block starts at byte 20.
-	badArcs := append([]byte(nil), valid...)
-	badArcs[28] ^= 0x55 // metricArcs word
-	f.Add(badArcs)
-	badName := append([]byte(nil), valid...)
-	badName[32], badName[33], badName[34], badName[35] = 0xFF, 0xFF, 0xFF, 0x7F // forged name length
-	f.Add(badName)
-	// A hand-built version-1 file: same payload with the version word
-	// downgraded and the metric block (16 bytes + name) cut out, covering
-	// the legacy-read path that yields epoch 0 and an empty name.
-	v1 := append([]byte(nil), valid[:20]...)
-	v1[4] = 1 // version word
-	v1 = append(v1, valid[20+16+len(h.MetricName):]...)
-	f.Add(v1)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h, err := ReadHierarchy(bytes.NewReader(data))
-		if err != nil {
-			return // rejected input is fine; panics and OOM are not
-		}
-		var out bytes.Buffer
-		if err := WriteHierarchy(&out, h); err != nil {
-			t.Fatalf("write-back failed: %v", err)
-		}
-		back, err := ReadHierarchy(&out)
-		if err != nil {
-			t.Fatalf("round trip rejected: %v", err)
-		}
-		if back.NumShortcuts != h.NumShortcuts || back.MaxLevel != h.MaxLevel {
-			t.Fatal("round trip changed metadata")
-		}
-		if back.MetricEpoch != h.MetricEpoch || back.MetricName != h.MetricName {
-			t.Fatalf("round trip changed metric identity: (%d,%q) became (%d,%q)",
-				h.MetricEpoch, h.MetricName, back.MetricEpoch, back.MetricName)
-		}
-		if !back.G.Equal(h.G) || !back.Up.Equal(h.Up) || !back.Down.Equal(h.Down) || !back.DownIn.Equal(h.DownIn) {
-			t.Fatal("round trip changed a graph")
-		}
-		for v := range h.Rank {
-			if back.Rank[v] != h.Rank[v] || back.Level[v] != h.Level[v] {
-				t.Fatalf("round trip changed rank/level at %d", v)
-			}
-		}
-		for _, pair := range [][2][]int32{
-			{back.UpMid, h.UpMid}, {back.DownMid, h.DownMid}, {back.DownInMid, h.DownInMid},
-		} {
-			for i := range pair[1] {
-				if pair[0][i] != pair[1][i] {
-					t.Fatalf("round trip changed a shortcut mid at %d", i)
-				}
-			}
-		}
-	})
-}
-
 // FuzzCustomizeMetric feeds arbitrary byte strings as weight vectors
 // through Topology.Customize over a fixed customizable topology and
 // checks every customized query distance against Dijkstra on the

@@ -54,9 +54,9 @@ type Hierarchy struct {
 	// MetricEpoch and MetricName identify the weight vector this
 	// hierarchy carries. Hierarchies produced by Build are epoch 0 with
 	// an empty name (the reference metric); Topology.Customize stamps
-	// the epoch/name the caller passed, and the serialization format
-	// round-trips both so a reloaded hierarchy still says which metric
-	// it answers for.
+	// the epoch/name the caller passed, and engine snapshots round-trip
+	// both so a restored hierarchy still says which metric it answers
+	// for.
 	MetricEpoch int64
 	MetricName  string
 }

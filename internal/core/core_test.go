@@ -148,7 +148,7 @@ func TestTreeParallelMatchesSequential(t *testing.T) {
 }
 
 func TestParallelSmallLevelsThreshold(t *testing.T) {
-	// A graph smaller than one scheduler chunk (DefaultParallelGrain)
+	// A graph smaller than one scheduler chunk (default byte budget)
 	// exercises the sequential fallback inside the parallel sweep.
 	rng := rand.New(rand.NewSource(4))
 	g := gridGraph(rng, 6, 6, 10)

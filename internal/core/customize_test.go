@@ -29,9 +29,9 @@ func TestCustomizedEngineDifferential(t *testing.T) {
 		name string
 		opt  Options
 	}{
-		{"reordered", Options{Mode: SweepReordered, Workers: 2, ParallelGrain: 16}},
-		{"levelorder", Options{Mode: SweepLevelOrder, Workers: 2, ParallelGrain: 16}},
-		{"rankorder", Options{Mode: SweepRankOrder, Workers: 2, ParallelGrain: 16}},
+		{"reordered", Options{Mode: SweepReordered, Workers: 2, ChunkBytes: 512}},
+		{"levelorder", Options{Mode: SweepLevelOrder, Workers: 2, ChunkBytes: 512}},
+		{"rankorder", Options{Mode: SweepRankOrder, Workers: 2, ChunkBytes: 512}},
 	}
 
 	for metric := 0; metric < 3; metric++ {

@@ -71,13 +71,6 @@ func (m SweepMode) String() string {
 	}
 }
 
-// DefaultParallelGrain is the historical fixed sweep chunk size (in
-// sweep positions). Chunks are sized by a cache-derived byte budget by
-// default (Options.ChunkBytes); this constant is the fixed grain tests
-// pin through Options.ParallelGrain when they need several chunks on a
-// small fixture.
-const DefaultParallelGrain = 1024
-
 // Options configures engine construction.
 type Options struct {
 	// Mode is the sweep order; the zero value is SweepReordered.
@@ -87,17 +80,12 @@ type Options struct {
 	// pool goroutines at construction. 0 selects GOMAXPROCS. Adjustable
 	// later with Engine.SetWorkers.
 	Workers int
-	// ParallelGrain, when positive, pins the chunk size in sweep
-	// positions — the historical fixed grain, kept for tests that need
-	// deterministic chunk boundaries. 0 (the default)
-	// sizes chunks by the ChunkBytes budget instead; a negative grain
-	// is an error.
-	ParallelGrain int
 	// ChunkBytes is the cache-budget chunking knob: the byte span of
 	// stream one scheduler chunk covers. 0 derives the budget from the
 	// detected cache hierarchy (half the private L2, clamped to
 	// [machine.MinChunkBytes, machine.MaxChunkBytes]); explicit values
-	// are used as given. Ignored when ParallelGrain pins a fixed grain.
+	// are used as given, which is how tests get several chunks on a
+	// small fixture.
 	ChunkBytes int
 }
 
@@ -128,9 +116,8 @@ type shared struct {
 	// counted; each shared state Retains it and Releases via finalizer.
 	//
 	// chunkStart[c] is the first sweep position of chunk c (len
-	// numChunks+1, ending at n). Boundaries come either from a fixed
-	// position grain (Options.ParallelGrain) or from the cache byte
-	// budget (Options.ChunkBytes), so chunk sizes may vary.
+	// numChunks+1, ending at n). Boundaries come from the cache byte
+	// budget (Options.ChunkBytes), so chunk sizes in positions vary.
 	chunkStart []int32
 	numChunks  int32
 	// chunkDep[c] is the chunk index the completion frontier must pass
@@ -179,9 +166,6 @@ func NewEngine(h *ch.Hierarchy, opt Options) (*Engine, error) {
 	n := h.G.NumVertices()
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opt.ParallelGrain < 0 {
-		return nil, fmt.Errorf("core: ParallelGrain %d is negative", opt.ParallelGrain)
 	}
 	if opt.ChunkBytes < 0 {
 		return nil, fmt.Errorf("core: ChunkBytes %d is negative", opt.ChunkBytes)
@@ -240,23 +224,13 @@ func NewEngine(h *ch.Hierarchy, opt Options) (*Engine, error) {
 		return nil, fmt.Errorf("core: packing sweep stream: %w", err)
 	}
 	s.packed = p
-	// Chunk boundaries: a positive ParallelGrain pins the historical
-	// fixed position grain; otherwise chunks are cut so each one's
-	// stream span fits the cache byte budget (Options.ChunkBytes, or
-	// half the detected private L2).
-	if opt.ParallelGrain > 0 {
-		s.chunkStart = graph.UniformChunkStarts(n, opt.ParallelGrain)
-	} else {
-		budget := opt.ChunkBytes
-		if budget == 0 {
-			b, err := machine.SweepChunkBytes()
-			if err != nil {
-				return nil, fmt.Errorf("core: chunk byte budget: %w", err)
-			}
-			budget = b
-		}
-		s.chunkStart = s.packed.ChunkStartsByBytes(budget)
+	// Chunk boundaries: each chunk's stream span fits the cache byte
+	// budget (Options.ChunkBytes, or half the detected private L2).
+	budget := opt.ChunkBytes
+	if budget == 0 {
+		budget = machine.SweepChunkBytes()
 	}
+	s.chunkStart = s.packed.ChunkStartsByBytes(budget)
 	s.numChunks = int32(len(s.chunkStart) - 1)
 	// Precompute the per-chunk dependency bounds the persistent
 	// scheduler starts chunks by (scheduler.go), walking the same stream

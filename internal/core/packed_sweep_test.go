@@ -19,7 +19,7 @@ import (
 func enginePair(t *testing.T, g *graph.Graph, mode SweepMode, workers int) (*Engine, *ch.Hierarchy) {
 	t.Helper()
 	h := ch.Build(g, ch.Options{Workers: 1})
-	e, err := NewEngine(h, Options{Mode: mode, Workers: workers, ParallelGrain: 8})
+	e, err := NewEngine(h, Options{Mode: mode, Workers: workers, ChunkBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestSweepBytesPackedBelowLegacy(t *testing.T) {
 // sweeps on clones of one hierarchy, for the race detector.
 func TestPackedParallelStress(t *testing.T) {
 	h, n := raceHierarchy(t)
-	proto, err := NewEngine(h, Options{Workers: 4, ParallelGrain: DefaultParallelGrain})
+	proto, err := NewEngine(h, Options{Workers: 4, ChunkBytes: testChunkBytes})
 	if err != nil {
 		t.Fatal(err)
 	}

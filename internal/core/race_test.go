@@ -13,8 +13,14 @@ import (
 // These tests exist to run under `go test -race`: the parallel sweeps
 // hand chunks to persistent pool workers, and the race detector must
 // watch that handoff. The graph is sized so the sweep spans several
-// grain-sized chunks — otherwise the sequential path would hide the
-// workers entirely.
+// testChunkBytes-sized chunks — otherwise the sequential path would
+// hide the workers entirely.
+
+// testChunkBytes is the explicit chunk byte budget the scheduler tests
+// pin: small enough that the race fixture spans several chunks (and its
+// largest level more than one), which the cache-derived default (at
+// least machine.MinChunkBytes) may not.
+const testChunkBytes = 32 << 10
 
 // raceFixture builds one hierarchy big enough for real worker spawns and
 // shares it across the race tests (CH construction dominates test time).
@@ -28,7 +34,7 @@ var raceFixture = struct {
 func raceHierarchy(t *testing.T) (*ch.Hierarchy, int) {
 	raceFixture.once.Do(func() {
 		rng := rand.New(rand.NewSource(50))
-		g := gridGraph(rng, 90, 60, 30) // 5400 vertices; largest CH level 1185 > DefaultParallelGrain
+		g := gridGraph(rng, 90, 60, 30) // 5400 vertices; largest CH level 1185
 		raceFixture.h = ch.Build(g, ch.Options{Workers: 1})
 		raceFixture.n = g.NumVertices()
 		raceFixture.d = sssp.NewDijkstra(g, pq.KindBinaryHeap)
@@ -50,7 +56,7 @@ func spansChunks(t *testing.T, e *Engine) {
 // exercises the chunk handoff between the frontier and the workers.
 func TestTreeParallelBarrierRace(t *testing.T) {
 	h, n := raceHierarchy(t)
-	e, err := NewEngine(h, Options{Workers: 4, ParallelGrain: DefaultParallelGrain})
+	e, err := NewEngine(h, Options{Workers: 4, ChunkBytes: testChunkBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +82,7 @@ func TestTreeParallelBarrierRace(t *testing.T) {
 // parallel sweep, scalar and lanes, including k not a multiple of 4.
 func TestMultiTreeParallelBarrierRace(t *testing.T) {
 	h, n := raceHierarchy(t)
-	e, err := NewEngine(h, Options{Workers: 4, ParallelGrain: DefaultParallelGrain})
+	e, err := NewEngine(h, Options{Workers: 4, ChunkBytes: testChunkBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +111,7 @@ func TestMultiTreeParallelBarrierRace(t *testing.T) {
 // immutable graphs.
 func TestParallelSweepsAcrossClones(t *testing.T) {
 	h, n := raceHierarchy(t)
-	proto, err := NewEngine(h, Options{Workers: 4, ParallelGrain: DefaultParallelGrain})
+	proto, err := NewEngine(h, Options{Workers: 4, ChunkBytes: testChunkBytes})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,20 +57,20 @@ func referenceTree(h *ch.Hierarchy, source int32) []uint32 {
 }
 
 // FuzzPackedSweep builds a random small graph and checks the engine
-// against referenceTree across sweep order × workers × chunk grain × k
+// against referenceTree across sweep order × workers × chunk budget × k
 // × useLanes: the single-tree, parent-recording, scalar multi and lane
 // kernels, each sequential and on the pooled scheduler.
 func FuzzPackedSweep(f *testing.F) {
-	// Corpus: (nRaw, mRaw, seed, kRaw, grainRaw, modeRaw, lanes).
+	// Corpus: (nRaw, mRaw, seed, kRaw, budgetRaw, modeRaw, lanes).
 	f.Add(uint16(40), uint16(90), int64(1), uint8(2), uint8(3), uint8(0), false)
 	f.Add(uint16(120), uint16(400), int64(2), uint8(4), uint8(7), uint8(1), true)
 	f.Add(uint16(300), uint16(1200), int64(3), uint8(15), uint8(0), uint8(2), true)
 	f.Add(uint16(1), uint16(0), int64(4), uint8(0), uint8(1), uint8(0), true)
-	f.Fuzz(func(t *testing.T, nRaw, mRaw uint16, seed int64, kRaw, grainRaw, modeRaw uint8, lanes bool) {
+	f.Fuzz(func(t *testing.T, nRaw, mRaw uint16, seed int64, kRaw, budgetRaw, modeRaw uint8, lanes bool) {
 		n := 1 + int(nRaw)%400
 		m := int(mRaw) % (5*n + 1)
 		k := 1 + int(kRaw)%16
-		grain := 1 + int(grainRaw)%64
+		budget := 32 * (1 + int(budgetRaw)%64) // bytes: about 1..64 positions
 		mode := allModes[int(modeRaw)%len(allModes)]
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, n, m, 1+rng.Intn(1000))
@@ -85,13 +85,13 @@ func FuzzPackedSweep(f *testing.F) {
 		check := func(what string, workers, lane int) {
 			for v := range got {
 				if got[v] != want[lane][v] {
-					t.Fatalf("%v workers=%d grain=%d %s k=%d lanes=%v lane %d: dist(%d)=%d, reference %d",
-						mode, workers, grain, what, k, lanes, lane, v, got[v], want[lane][v])
+					t.Fatalf("%v workers=%d budget=%d %s k=%d lanes=%v lane %d: dist(%d)=%d, reference %d",
+						mode, workers, budget, what, k, lanes, lane, v, got[v], want[lane][v])
 				}
 			}
 		}
 		for _, workers := range []int{1, 2} {
-			e, err := NewEngine(h, Options{Mode: mode, Workers: workers, ParallelGrain: grain})
+			e, err := NewEngine(h, Options{Mode: mode, Workers: workers, ChunkBytes: budget})
 			if err != nil {
 				t.Fatal(err)
 			}

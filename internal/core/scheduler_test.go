@@ -22,7 +22,7 @@ func TestPooledSweepDifferential(t *testing.T) {
 	h, n := raceHierarchy(t)
 	rng := rand.New(rand.NewSource(71))
 	for _, mode := range allModes {
-		pooled, err := NewEngine(h, Options{Mode: mode, Workers: 4, ParallelGrain: 512})
+		pooled, err := NewEngine(h, Options{Mode: mode, Workers: 4, ChunkBytes: testChunkBytes / 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestPooledSweepDifferential(t *testing.T) {
 // between, yet the scheduler parallelizes it.
 func TestPooledRankOrderRunsParallel(t *testing.T) {
 	h, n := raceHierarchy(t)
-	pooled, err := NewEngine(h, Options{Mode: SweepRankOrder, Workers: 4, ParallelGrain: DefaultParallelGrain})
+	pooled, err := NewEngine(h, Options{Mode: SweepRankOrder, Workers: 4, ChunkBytes: testChunkBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,13 +133,13 @@ func TestPooledRankOrderRunsParallel(t *testing.T) {
 	}
 }
 
-// TestParallelGrainOption checks the grain knob reaches the scheduler:
-// chunk counts follow ceil(n/grain), labels stay exact, and a bogus
-// grain is rejected at engine construction.
-func TestParallelGrainOption(t *testing.T) {
+// TestChunkBytesOption checks the byte budget reaches the scheduler:
+// chunk counts follow the packed stream's byte boundaries, labels stay
+// exact, and a negative budget is rejected at engine construction.
+func TestChunkBytesOption(t *testing.T) {
 	h, n := raceHierarchy(t)
-	const grain = 64
-	e, err := NewEngine(h, Options{Workers: 4, ParallelGrain: grain})
+	const budget = 1 << 10
+	e, err := NewEngine(h, Options{Workers: 4, ChunkBytes: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,15 +148,18 @@ func TestParallelGrainOption(t *testing.T) {
 	raceFixture.d.Run(s)
 	for v := int32(0); v < int32(n); v += 11 {
 		if got, want := e.Dist(v), raceFixture.d.Dist(v); got != want {
-			t.Fatalf("grain=%d: dist(%d)=%d, want %d", grain, v, got, want)
+			t.Fatalf("budget=%d: dist(%d)=%d, want %d", budget, v, got, want)
 		}
 	}
-	wantChunks := uint64((n + grain - 1) / grain)
-	if st := e.SchedStats(); st.Sweeps != 1 || st.Chunks != wantChunks {
-		t.Fatalf("grain=%d: stats %+v, want 1 sweep over %d chunks", grain, st, wantChunks)
+	wantChunks := uint64(len(e.s.packed.ChunkStartsByBytes(budget)) - 1)
+	if wantChunks < 2 || uint64(e.StreamBytes())/budget > wantChunks {
+		t.Fatalf("budget=%d: %d chunks over a %d-byte stream", budget, wantChunks, e.StreamBytes())
 	}
-	if _, err := NewEngine(h, Options{Workers: 4, ParallelGrain: -8}); err == nil {
-		t.Fatal("negative ParallelGrain accepted")
+	if st := e.SchedStats(); st.Sweeps != 1 || st.Chunks != wantChunks {
+		t.Fatalf("budget=%d: stats %+v, want 1 sweep over %d chunks", budget, st, wantChunks)
+	}
+	if _, err := NewEngine(h, Options{Workers: 4, ChunkBytes: -8}); err == nil {
+		t.Fatal("negative ChunkBytes accepted")
 	}
 }
 
@@ -164,7 +167,7 @@ func TestParallelGrainOption(t *testing.T) {
 // both directions, including shrinking to the sequential fallback.
 func TestSetWorkersResize(t *testing.T) {
 	h, n := raceHierarchy(t)
-	e, err := NewEngine(h, Options{Workers: 2, ParallelGrain: DefaultParallelGrain})
+	e, err := NewEngine(h, Options{Workers: 2, ChunkBytes: testChunkBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,9 +216,9 @@ func TestSetWorkersRejectedDuringSweep(t *testing.T) {
 		<-release
 	}
 	defer func() { sched.TestHookChunkClaimed = nil }()
-	// Pin the grain: the fixture must span several chunks so the hook
+	// Pin the budget: the fixture must span several chunks so the hook
 	// actually fires (the cache-budget default may fuse it into one).
-	e, err := NewEngine(h, Options{Workers: 2, ParallelGrain: DefaultParallelGrain})
+	e, err := NewEngine(h, Options{Workers: 2, ChunkBytes: testChunkBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +248,7 @@ func TestSetWorkersRejectedDuringSweep(t *testing.T) {
 // rejected resizes never corrupt a sweep.
 func TestSchedulerStressWithResizes(t *testing.T) {
 	h, n := raceHierarchy(t)
-	proto, err := NewEngine(h, Options{Workers: 3, ParallelGrain: DefaultParallelGrain})
+	proto, err := NewEngine(h, Options{Workers: 3, ChunkBytes: testChunkBytes})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,27 +14,6 @@ import "fmt"
 // bound — the in-order scan of the chunk satisfies them, as in the
 // sequential sweep.
 
-// UniformChunkStarts returns the chunk boundary list (len numChunks+1,
-// first 0, last n) for fixed-size chunks of grain positions — the
-// variable-boundary representation of the classic fixed grain, so the
-// scheduler speaks one boundary format regardless of how chunks were
-// sized.
-func UniformChunkStarts(n, grain int) []int32 {
-	if grain < 1 {
-		grain = 1
-	}
-	numChunks := (n + grain - 1) / grain
-	if numChunks == 0 {
-		numChunks = 1
-	}
-	starts := make([]int32, numChunks+1)
-	for c := 1; c < numChunks; c++ {
-		starts[c] = int32(c * grain)
-	}
-	starts[numChunks] = int32(n)
-	return starts
-}
-
 // ChunkStartsByBytes partitions the sweep positions into chunks whose
 // packed stream spans at most budget bytes each (always at least one
 // position per chunk, so a block larger than the budget gets a chunk of

@@ -91,7 +91,7 @@ func TestChunkDepBoundsMatchesBruteForce(t *testing.T) {
 		g := randomSweepDAG(rng, order, rng.Intn(5*n))
 		p, pos := packedFor(t, g, order, identity)
 		for _, grain := range []int{1, 3, 7, 16, n, 2 * n} {
-			starts := UniformChunkStarts(n, grain)
+			starts := fixedGrainStarts(n, grain)
 			got, err := p.ChunkDepBoundsAt(pos, starts)
 			if err != nil {
 				t.Fatal(err)
@@ -166,7 +166,7 @@ func TestChunkDepBoundsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	starts := UniformChunkStarts(10, 4)
+	starts := fixedGrainStarts(10, 4)
 
 	// The position map must match the stream layout.
 	if _, err := p.ChunkDepBoundsAt(nil, starts); err == nil {
@@ -189,40 +189,19 @@ func TestChunkDepBoundsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pf.ChunkDepBoundsAt(nil, UniformChunkStarts(4, 2)); err == nil {
+	if _, err := pf.ChunkDepBoundsAt(nil, fixedGrainStarts(4, 2)); err == nil {
 		t.Error("non-topological packed stream accepted")
 	}
 }
 
-// TestUniformChunkStartsMatchesFixedGrain pins the variable-boundary
-// representation of a fixed grain: boundaries at multiples of grain,
-// ending at n, and dependency bounds equal to the fixed-grain
-// definition.
-func TestUniformChunkStartsMatchesFixedGrain(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	const n = 300
-	order := identityOrder(n)
-	g := randomSweepDAG(rng, order, 1200)
-	p, pos := packedFor(t, g, order, true)
-	for _, grain := range []int{1, 7, 64, 1024} {
-		starts := UniformChunkStarts(n, grain)
-		if want := (n + grain - 1) / grain; len(starts)-1 != want || starts[len(starts)-1] != n {
-			t.Fatalf("grain %d: %d chunks ending at %d, want %d ending at %d", grain, len(starts)-1, starts[len(starts)-1], want, n)
-		}
-		for c := 1; c+1 < len(starts); c++ {
-			if starts[c] != int32(c*grain) {
-				t.Fatalf("grain %d: chunk %d starts at %d, want %d", grain, c, starts[c], c*grain)
-			}
-		}
-		got, err := p.ChunkDepBoundsAt(pos, starts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := bruteChunkDeps(g, order, starts)
-		for c := range want {
-			if got[c] != want[c] {
-				t.Fatalf("grain %d chunk %d: dep %d, want %d", grain, c, got[c], want[c])
-			}
-		}
+// fixedGrainStarts returns the chunk boundary list (len numChunks+1,
+// first 0, last n) for chunks of grain positions each.
+func fixedGrainStarts(n, grain int) []int32 {
+	numChunks := (n + grain - 1) / grain
+	starts := make([]int32, numChunks+1)
+	for c := 1; c < numChunks; c++ {
+		starts[c] = int32(c * grain)
 	}
+	starts[numChunks] = int32(n)
+	return starts
 }

@@ -323,7 +323,7 @@ func (b *Builder) BuildDeduped() *Graph {
 }
 
 // FromRaw constructs a graph directly from adjacency arrays (used by the
-// binary deserializer). It validates the CSR invariants: first must be
+// snapshot reader). It validates the CSR invariants: first must be
 // monotonically non-decreasing from 0 to len(arcs), and every head must
 // be a valid vertex.
 func FromRaw(first []int32, arcs []Arc) (*Graph, error) {

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"fmt"
 	"os"
 	"strconv"
 	"strings"
@@ -15,9 +14,8 @@ import (
 // (Luxen & Schieferdecker size CH preprocessing regions the same way).
 // Detection reads the Linux sysfs cpu cache topology; on other
 // platforms, or inside containers that hide sysfs, a conservative
-// default stands in. Users override either through Options.ChunkBytes
-// or the PHAST_CHUNK_BYTES environment variable, both handled by the
-// engine — this file only answers "how big is the cache".
+// default stands in. Tests override the budget through the engine's
+// Options.ChunkBytes — this file only answers "how big is the cache".
 
 // CacheInfo describes the data cache levels relevant to chunk sizing,
 // in bytes per core (private levels) or per package (shared LLC).
@@ -131,25 +129,9 @@ const (
 
 // SweepChunkBytes returns the byte budget one sweep chunk should span:
 // half the private L2 when detected, clamped to
-// [MinChunkBytes, MaxChunkBytes]. The PHAST_CHUNK_BYTES environment
-// variable, when set to a positive integer, overrides detection (but
-// not the clamp). A set-but-malformed override — unparseable, zero, or
-// negative — is an error, not a silent fallback: the variable exists to
-// pin sweep behavior, and an operator who typo'd it should find out at
-// engine construction, not from a mysteriously detected budget.
-func SweepChunkBytes() (int, error) {
-	if s := os.Getenv("PHAST_CHUNK_BYTES"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			return 0, fmt.Errorf("machine: PHAST_CHUNK_BYTES=%q is not an integer: %v", s, err)
-		}
-		if v <= 0 {
-			return 0, fmt.Errorf("machine: PHAST_CHUNK_BYTES=%q must be a positive byte count", s)
-		}
-		return clampChunkBytes(v), nil
-	}
-	c := LocalCache()
-	return clampChunkBytes(int(c.L2Bytes / 2)), nil
+// [MinChunkBytes, MaxChunkBytes].
+func SweepChunkBytes() int {
+	return clampChunkBytes(int(LocalCache().L2Bytes / 2))
 }
 
 func clampChunkBytes(b int) int {

@@ -69,38 +69,18 @@ func TestParseCacheSize(t *testing.T) {
 	}
 }
 
-func TestSweepChunkBytesClampAndOverride(t *testing.T) {
-	t.Setenv("PHAST_CHUNK_BYTES", "1000000")
-	if got, err := SweepChunkBytes(); err != nil || got != 1000000 {
-		t.Fatalf("override: got %d, %v; want 1000000", got, err)
+func TestSweepChunkBytesClamp(t *testing.T) {
+	if got := clampChunkBytes(1); got != MinChunkBytes {
+		t.Fatalf("floor: got %d; want %d", got, MinChunkBytes)
 	}
-	t.Setenv("PHAST_CHUNK_BYTES", "1")
-	if got, err := SweepChunkBytes(); err != nil || got != MinChunkBytes {
-		t.Fatalf("floor: got %d, %v; want %d", got, err, MinChunkBytes)
+	if got := clampChunkBytes(999999999); got != MaxChunkBytes {
+		t.Fatalf("cap: got %d; want %d", got, MaxChunkBytes)
 	}
-	t.Setenv("PHAST_CHUNK_BYTES", "999999999")
-	if got, err := SweepChunkBytes(); err != nil || got != MaxChunkBytes {
-		t.Fatalf("cap: got %d, %v; want %d", got, err, MaxChunkBytes)
+	if got := clampChunkBytes(1000000); got != 1000000 {
+		t.Fatalf("in range: got %d; want 1000000", got)
 	}
-	t.Setenv("PHAST_CHUNK_BYTES", "")
-	got, err := SweepChunkBytes()
-	if err != nil {
-		t.Fatalf("unset override: %v", err)
-	}
-	if got < MinChunkBytes || got > MaxChunkBytes {
+	if got := SweepChunkBytes(); got < MinChunkBytes || got > MaxChunkBytes {
 		t.Fatalf("detected budget %d escapes [%d,%d]", got, MinChunkBytes, MaxChunkBytes)
-	}
-}
-
-// TestSweepChunkBytesRejectsMalformed pins the failure mode of a bad
-// PHAST_CHUNK_BYTES: a set-but-broken override is an error, never a
-// silent fall back to detection.
-func TestSweepChunkBytesRejectsMalformed(t *testing.T) {
-	for _, bad := range []string{"abc", "64K", "1.5", "0", "-4096", " 65536"} {
-		t.Setenv("PHAST_CHUNK_BYTES", bad)
-		if got, err := SweepChunkBytes(); err == nil {
-			t.Fatalf("PHAST_CHUNK_BYTES=%q accepted as %d; want error", bad, got)
-		}
 	}
 }
 

@@ -34,7 +34,7 @@ func TestEpochSwapUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildCustomizable: %v", err)
 	}
-	base, err := core.NewEngine(topo.Hierarchy(), core.Options{Workers: 2, ParallelGrain: 16})
+	base, err := core.NewEngine(topo.Hierarchy(), core.Options{Workers: 2, ChunkBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func (o Options) withDefaults() (Options, error) {
 type TreeResult struct {
 	source int32
 	dist   []uint32
-	srv    *TreeServer
+	pool   *sync.Pool // the owning server's result pool; nil once released
 	epoch  uint64
 	metric string
 }
@@ -152,7 +152,8 @@ func (r *TreeResult) Source() int32 { return r.source }
 
 // Epoch returns the metric epoch that was active when this tree was
 // swept. Under a concurrent InstallMetric, a caller observes either
-// the old or the new epoch, never a mix within one result.
+// the old or the new epoch, never a mix within one result (a Sharded
+// tree pins one epoch across all K shard sweeps).
 func (r *TreeResult) Epoch() uint64 { return r.epoch }
 
 // Metric returns the name of the metric the tree was computed under.
@@ -169,12 +170,12 @@ func (r *TreeResult) Distances() []uint32 { return r.dist }
 // and its Distances slice must not be used afterwards. Release is
 // idempotent; forgetting to call it only costs an allocation.
 func (r *TreeResult) Release() {
-	s := r.srv
-	if s == nil {
+	p := r.pool
+	if p == nil {
 		return
 	}
-	r.srv = nil
-	s.resultPool.Put(r)
+	r.pool = nil
+	p.Put(r)
 }
 
 // request is one pending Query. done has capacity 1 and receives exactly
@@ -227,7 +228,8 @@ type Stats struct {
 	// counter.
 	StreamBytes uint64
 	// MetricSwaps counts InstallMetric publications (the initial install
-	// of the default metric included).
+	// of the default metric included). An install superseded by a newer
+	// epoch never goes live and is not counted.
 	MetricSwaps uint64
 	// SchedSweeps/SchedChunks/SchedStalls/SchedIdle mirror the persistent
 	// sweep scheduler's counters (core.SchedStats). The server's engine
@@ -339,7 +341,9 @@ func New(proto *core.Engine, opt Options) (*TreeServer, error) {
 // swaps that metric; installing a new name makes it queryable via
 // QueryMetric. proto must cover the same vertex set as the server
 // (typically it is the engine of a Topology.Customize over the same
-// topology); proto itself is never swept.
+// topology); proto itself is never swept. An install that loses the
+// race to a concurrent install of the same name with a later epoch
+// still returns its own epoch, but that epoch never goes live.
 func (s *TreeServer) InstallMetric(name string, proto *core.Engine) (uint64, error) {
 	if proto.NumVertices() != s.n {
 		return 0, fmt.Errorf("server: metric %q engine has %d vertices, server %d", name, proto.NumVertices(), s.n)
@@ -351,20 +355,26 @@ func (s *TreeServer) InstallMetric(name string, proto *core.Engine) (uint64, err
 	st, _ := s.metrics.LoadOrStore(name, &metricState{})
 	ms := st.(*metricState)
 	set.epoch = s.epochCounter.Add(1)
-	// Publish only forward: if a concurrent install of the same name drew
-	// a later epoch and already stored it, this older set must not clobber
-	// it — a metric's observable epoch never decreases.
+	if publishForward(&ms.active, set, func(e *engineSet) uint64 { return e.epoch }) {
+		s.metricSwaps.Add(1)
+	}
+	return set.epoch, nil
+}
+
+// publishForward stores next in p unless the live value carries a later
+// epoch, and reports whether it stored. If a concurrent installer drew a
+// later epoch and already published it, the older next must not clobber
+// it: an observable epoch never decreases.
+func publishForward[T any](p *atomic.Pointer[T], next *T, epoch func(*T) uint64) bool {
 	for {
-		old := ms.active.Load()
-		if old != nil && old.epoch > set.epoch {
-			break
+		old := p.Load()
+		if old != nil && epoch(old) > epoch(next) {
+			return false
 		}
-		if ms.active.CompareAndSwap(old, set) {
-			break
+		if p.CompareAndSwap(old, next) {
+			return true
 		}
 	}
-	s.metricSwaps.Add(1)
-	return set.epoch, nil
 }
 
 // ActiveEpoch returns the currently published epoch of a metric, or
@@ -678,13 +688,15 @@ func (s *TreeServer) executor(idx int) {
 					continue
 				}
 				res := s.resultPool.Get().(*TreeResult)
-				res.srv = s
+				res.pool = &s.resultPool
 				res.source = r.source
 				res.epoch = set.epoch
 				res.metric = set.name
 				eng.CopyLaneDistances(i, res.dist)
-				r.done <- result{res: res}
+				// Count before the send: a caller that has its result
+				// must already see it in Stats.
 				s.queries.Add(1)
+				r.done <- result{res: res}
 			}
 		}
 	}

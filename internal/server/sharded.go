@@ -94,43 +94,6 @@ type shardAnswer struct {
 	err  error
 }
 
-// ShardedResult is one full tree gathered from all shards. Like
-// TreeResult its buffer is a pooled private copy; Release it when done.
-type ShardedResult struct {
-	source int32
-	dist   []uint32
-	srv    *Sharded
-	epoch  uint64
-	metric string
-}
-
-// Source returns the tree's source vertex.
-func (r *ShardedResult) Source() int32 { return r.source }
-
-// Epoch returns the metric epoch all K shard sweeps of this tree ran
-// under (a tree is pinned to one set; it never mixes epochs).
-func (r *ShardedResult) Epoch() uint64 { return r.epoch }
-
-// Metric returns the name of the metric the tree was computed under.
-func (r *ShardedResult) Metric() string { return r.metric }
-
-// Dist returns the distance label of vertex v (graph.Inf if unreached).
-func (r *ShardedResult) Dist(v int32) uint32 { return r.dist[v] }
-
-// Distances returns all n labels indexed by original vertex ID, valid
-// until Release.
-func (r *ShardedResult) Distances() []uint32 { return r.dist }
-
-// Release returns the buffer to the server's pool; idempotent.
-func (r *ShardedResult) Release() {
-	s := r.srv
-	if s == nil {
-		return
-	}
-	r.srv = nil
-	s.resultPool.Put(r)
-}
-
 // Sharded is the partitioned front server. All methods are safe for
 // concurrent use.
 type Sharded struct {
@@ -189,7 +152,7 @@ func NewSharded(g *graph.Graph, proto *core.Engine, opt ShardedOptions) (*Sharde
 		coldStart:    proto.ColdStart(),
 	}
 	s.resultPool.New = func() any {
-		return &ShardedResult{dist: make([]uint32, s.n)}
+		return &TreeResult{dist: make([]uint32, s.n)}
 	}
 	if _, err := s.InstallMetric(DefaultMetric, proto); err != nil {
 		return nil, err
@@ -207,7 +170,9 @@ func NewSharded(g *graph.Graph, proto *core.Engine, opt ShardedOptions) (*Sharde
 // with the same forward-only contract: trees already scattered finish
 // on the set they pinned, later queries see the new one. proto must be
 // a reordered-mode engine over the same vertex set (typically a
-// Customize result over the same topology).
+// Customize result over the same topology). As on TreeServer, an
+// install superseded by a concurrent later epoch returns its epoch but
+// never goes live, and is not counted in Stats.MetricSwaps.
 func (s *Sharded) InstallMetric(name string, proto *core.Engine) (uint64, error) {
 	if proto.NumVertices() != s.n {
 		return 0, fmt.Errorf("server: metric %q engine has %d vertices, server %d", name, proto.NumVertices(), s.n)
@@ -226,16 +191,9 @@ func (s *Sharded) InstallMetric(name string, proto *core.Engine) (uint64, error)
 		set.queries[c] = rphast.NewQuery(sel)
 	}
 	set.epoch = s.epochCounter.Add(1)
-	for {
-		old := s.active.Load()
-		if old != nil && old.epoch > set.epoch {
-			break
-		}
-		if s.active.CompareAndSwap(old, set) {
-			break
-		}
+	if publishForward(&s.active, set, func(e *shardSet) uint64 { return e.epoch }) {
+		s.metricSwaps.Add(1)
 	}
-	s.metricSwaps.Add(1)
 	return set.epoch, nil
 }
 
@@ -324,14 +282,14 @@ func (s *Sharded) Distance(ctx context.Context, source, target int32) (uint32, e
 // member labels into one buffer. All K sweeps run under the same
 // pinned epoch. The returned result is a private pooled copy; Release
 // it when done.
-func (s *Sharded) Tree(ctx context.Context, source int32) (*ShardedResult, error) {
+func (s *Sharded) Tree(ctx context.Context, source int32) (*TreeResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if source < 0 || int(source) >= s.n {
 		return nil, fmt.Errorf("server: source %d out of range [0,%d)", source, s.n)
 	}
-	res := s.resultPool.Get().(*ShardedResult)
+	res := s.resultPool.Get().(*TreeResult)
 	set := s.active.Load()
 	var pending atomic.Int64
 	pending.Store(int64(s.parts.K))
@@ -344,8 +302,7 @@ func (s *Sharded) Tree(ctx context.Context, source int32) (*ShardedResult, error
 			for int(pending.Load()) > s.parts.K-c {
 				<-wake
 			}
-			res.srv = s
-			res.Release()
+			s.resultPool.Put(res)
 			return nil, err
 		}
 	}
@@ -354,12 +311,11 @@ func (s *Sharded) Tree(ctx context.Context, source int32) (*ShardedResult, error
 	}
 	if err := ctx.Err(); err != nil {
 		// Executors skipped their sweep; the buffer is stale, not torn.
-		res.srv = s
-		res.Release()
+		s.resultPool.Put(res)
 		s.canceled.Add(1)
 		return nil, err
 	}
-	res.srv = s
+	res.pool = &s.resultPool
 	res.source = source
 	res.epoch = set.epoch
 	res.metric = set.name
@@ -425,8 +381,8 @@ func (s *Sharded) executor(c int) {
 		s.sweepNanos.Add(uint64(time.Since(start).Nanoseconds()))
 		s.shardQueries[c].Add(1)
 		if r.reply != nil {
+			s.queries.Add(1) // before the send, as in TreeServer
 			r.reply <- shardAnswer{dist: q.Dist(int(r.member))}
-			s.queries.Add(1)
 			continue
 		}
 		// Scatter: write this cell's member labels into the shared

@@ -32,8 +32,7 @@
 // (alignment, bounds, ordering, exact lengths against n and the arc
 // counts), permutations, mid ranges, the full packed stream grammar, and
 // the chunk schedule are all validated before an engine is
-// assembled — the same discipline as ch.ReadHierarchy, extended to the
-// aliasing layout (FuzzSnapshotRoundTrip forges headers, lengths, and
+// assembled (FuzzSnapshotRoundTrip forges headers, lengths, and
 // alignments against it). Validation reads every section once but
 // copies none of them.
 //

@@ -13,11 +13,10 @@ import (
 
 // SaveSnapshot serializes the *complete* engine — hierarchy with metric
 // identity, sweep streams, chunk schedule, orders and levels — in the
-// versioned zero-copy snapshot format (see internal/snapshot). Unlike
-// SaveHierarchy, which stores only what preprocessing produced and
-// leaves every process to re-derive the sweep layout, a snapshot
-// restores in milliseconds via LoadSnapshot with all large arrays
-// aliasing the file's pages.
+// versioned zero-copy snapshot format (see internal/snapshot) — the one
+// way to persist an engine, so preprocessing never runs twice for the
+// same input. A snapshot restores in milliseconds via LoadSnapshot with
+// all large arrays aliasing the file's pages, sweep layout included.
 func (e *Engine) SaveSnapshot(w io.Writer) error {
 	_, err := snapshot.Write(w, e.core.Parts(), e.g)
 	return err

@@ -43,6 +43,9 @@ func TestFacadeSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := ReadSnapshot(bytes.NewReader([]byte("junk")), nil); err == nil {
+		t.Fatal("junk snapshot accepted")
+	}
 
 	for _, loaded := range []*Engine{mmapped, heap} {
 		if loaded.SnapshotBytes() != int64(len(raw)) {
